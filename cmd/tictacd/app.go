@@ -17,6 +17,7 @@ import (
 	"tictac/internal/cache"
 	"tictac/internal/fleet"
 	"tictac/internal/service"
+	"tictac/internal/trace"
 )
 
 // app holds the parsed command line.
@@ -54,8 +55,6 @@ type app struct {
 
 	tracePath      string
 	traceTimescale float64
-	traceSizes     string
-	tracePolicies  string
 }
 
 func parseFlags(args []string, stderr io.Writer) (*app, error) {
@@ -76,7 +75,7 @@ func parseFlags(args []string, stderr io.Writer) (*app, error) {
 	fs.StringVar(&a.nodeID, "node-id", "", "fleet: this node's stable identity (required with -fleet; must appear in -peers)")
 	fs.StringVar(&a.peers, "peers", "", "fleet: full membership as id=url,id=url,... including this node")
 	fs.DurationVar(&a.probeInterval, "probe-interval", time.Second, "fleet: peer health-probe interval")
-	fs.DurationVar(&a.hedgeTimeout, "hedge-timeout", 250*time.Millisecond, "fleet: hedge a forwarded request to the next replica after this long without a response")
+	fs.DurationVar(&a.hedgeTimeout, "hedge-timeout", fleet.DefaultHedgeTimeout, "fleet: hedge a forwarded request to the next replica after this long without a response")
 	fs.DurationVar(&a.drainTimeout, "drain-timeout", 30*time.Second, "fleet: max time to stream hot cache entries to successors on SIGTERM before exiting anyway")
 	fs.BoolVar(&a.loadtest, "loadtest", false, "run the deterministic load generator instead of serving")
 	fs.StringVar(&a.target, "target", "", "loadtest: base URL of a running tictacd (empty = spin up an in-process server)")
@@ -90,22 +89,14 @@ func parseFlags(args []string, stderr io.Writer) (*app, error) {
 	fs.BoolVar(&a.checkErrors, "check-errors", true, "loadtest: run the error-injection probes asserting structured codes")
 	fs.StringVar(&a.reportPath, "report", "", "loadtest: also write the JSON report to this file")
 	fs.StringVar(&a.fleetTargets, "fleet-targets", "", "loadtest: comma-separated base URLs of a running fleet — hammer through every node, byte-verify against direct computation, assert aggregate hit rate (overrides -target)")
-	fs.StringVar(&a.tracePath, "trace", "", "loadtest: replay this workload trace file instead of the synthetic mix (see docs/cache-policies.md)")
-	fs.Float64Var(&a.traceTimescale, "trace-timescale", 0, "trace replay: wall-clock seconds per trace second (0 = as fast as possible)")
-	fs.StringVar(&a.traceSizes, "trace-sizes", "", "trace replay: comma-separated schedule-cache capacities to sweep (empty = 4,16,64)")
-	fs.StringVar(&a.tracePolicies, "trace-policies", "", "trace replay: comma-separated eviction policies to sweep (empty = all registered)")
+	fs.StringVar(&a.tracePath, "trace", "", "loadtest: replay this workload trace file instead of the synthetic mix, one schedule request per event (-requests is ignored; see docs/cache-policies.md)")
+	fs.Float64Var(&a.traceTimescale, "trace-timescale", 0, "loadtest: wall-clock seconds per trace second (0 = as fast as possible)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if _, err := cache.NewPolicy(a.cachePolicy); err != nil {
 		fmt.Fprintf(stderr, "tictacd: %v\n", err)
 		return nil, err
-	}
-	for _, p := range splitList(a.tracePolicies) {
-		if _, err := cache.NewPolicy(p); err != nil {
-			fmt.Fprintf(stderr, "tictacd: %v\n", err)
-			return nil, err
-		}
 	}
 	if a.fleetMode && !a.loadtest {
 		if _, err := a.fleetNode(); err != nil {
@@ -159,19 +150,6 @@ func (a *app) options() service.Options {
 		MaxBatch:      a.maxBatch,
 		BatchJobs:     a.batchJobs,
 	}
-}
-
-// splitInts parses a comma-separated list of positive integers.
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		var n int
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad size %q (want positive integers)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func splitList(s string) []string {
@@ -282,12 +260,19 @@ func (a *app) runDaemon(stdout, stderr io.Writer) int {
 	}
 }
 
-// runLoadtest drives the deterministic load generator — against -target if
-// given, otherwise against an ephemeral in-process server — prints the JSON
-// report and fails (exit 1) if the service contract was violated.
+// runLoadtest drives the deterministic load generator — the synthetic mix,
+// or the -trace file — against -fleet-targets or -target if given,
+// otherwise against an ephemeral in-process server built from the
+// -cache-* flags; it prints the JSON report and fails (exit 1) if the
+// service contract was violated.
 func (a *app) runLoadtest(stdout, stderr io.Writer) int {
+	var w *trace.Workload
 	if a.tracePath != "" {
-		return a.runReplay(stdout, stderr)
+		var err error
+		if w, err = trace.ReadWorkloadFile(a.tracePath); err != nil {
+			fmt.Fprintf(stderr, "tictacd: loadtest: %v\n", err)
+			return 1
+		}
 	}
 	target := a.target
 	fleetTargets := splitList(a.fleetTargets)
@@ -319,6 +304,8 @@ func (a *app) runLoadtest(stdout, stderr io.Writer) int {
 		ChurnProbes:  a.churnProbes,
 		CheckErrors:  a.checkErrors,
 		BatchLimit:   a.maxBatch,
+		Trace:        w,
+		Timescale:    a.traceTimescale,
 	})
 	// RunLoad may return a partial report alongside its error (e.g. the
 	// run completed but the /metrics read failed). Emit whatever exists
@@ -346,50 +333,7 @@ func (a *app) runLoadtest(stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tictacd: FAIL: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stderr, "tictacd: PASS: %d requests, %d distinct configs, hit rate %.3f, p99 %.1fms\n",
-		report.Requests, report.DistinctConfigs, report.ServerCacheHitRate, report.Latency.P99*1000)
-	return 0
-}
-
-// runReplay replays a workload trace through the service (the eviction-
-// policy shootout grid when no -target is given), prints the JSON report
-// and fails if any curve violated the service contract or the offline
-// oracle failed to dominate.
-func (a *app) runReplay(stdout, stderr io.Writer) int {
-	sizes, err := splitInts(a.traceSizes)
-	if err != nil {
-		fmt.Fprintf(stderr, "tictacd: -trace-sizes: %v\n", err)
-		return 2
-	}
-	report, runErr := service.RunReplay(service.ReplayOptions{
-		TracePath:   a.tracePath,
-		Target:      a.target,
-		Policies:    splitList(a.tracePolicies),
-		CacheSizes:  sizes,
-		Timescale:   a.traceTimescale,
-		Concurrency: a.concurrency,
-	})
-	if runErr != nil {
-		fmt.Fprintf(stderr, "tictacd: trace replay: %v\n", runErr)
-		return 1
-	}
-	payload, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "tictacd: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "%s\n", payload)
-	if a.reportPath != "" {
-		if err := os.WriteFile(a.reportPath, append(payload, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "tictacd: write report: %v\n", err)
-			return 1
-		}
-	}
-	if err := report.Err(); err != nil {
-		fmt.Fprintf(stderr, "tictacd: FAIL: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stderr, "tictacd: PASS: trace %q, %d events over %d keys, %d live curves, %d offline rows\n",
-		report.Trace, report.Events, report.DistinctKeys, len(report.Curves), len(report.Offline))
+	fmt.Fprintf(stderr, "tictacd: PASS: %s, %d requests, %d distinct configs, %s hit rate %.3f, p99 %.1fms\n",
+		report.Trace, report.Requests, report.DistinctConfigs, report.ServerCachePolicy, report.ServerCacheHitRate, report.Latency.P99*1000)
 	return 0
 }

@@ -144,10 +144,6 @@ func TestBadCachePolicy(t *testing.T) {
 	if !strings.Contains(stderr.String(), "astrology") {
 		t.Errorf("stderr missing policy error: %s", stderr.String())
 	}
-	stderr.Reset()
-	if code := run([]string{"-loadtest", "-trace", "x.json", "-trace-policies", "bogus"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
 }
 
 func TestTraceReplayInProcess(t *testing.T) {
@@ -166,8 +162,11 @@ func TestTraceReplayInProcess(t *testing.T) {
 	code := run([]string{
 		"-loadtest",
 		"-trace", tracePath,
-		"-trace-sizes", "3",
-		"-trace-policies", "lru",
+		"-cache-policy", "lfu",
+		"-cache-capacity", "3",
+		"-shards", "1",
+		"-batches", "-1",
+		"-churn-probes", "-1",
 		"-report", report,
 	}, &stdout, &stderr)
 	if code != 0 {
@@ -180,23 +179,21 @@ func TestTraceReplayInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r service.ReplayReport
+	var r service.LoadReport
 	if err := json.Unmarshal(payload, &r); err != nil {
 		t.Fatalf("report not JSON: %v\n%s", err, payload)
 	}
-	if len(r.Curves) != 1 || r.Events != 40 {
+	if r.Requests != 40 || r.Trace != w.Name || r.ServerCachePolicy != "lfu" || r.Mismatches != 0 {
 		t.Errorf("report = %+v", r)
 	}
-	// The offline section must include the oracle even though only lru was
-	// requested.
-	oracle := false
-	for _, row := range r.Offline {
-		if row.Policy == "belady" {
-			oracle = true
-		}
+	// The self-hosted server's one 3-entry shard cannot hold the trace's keys.
+	if r.ServerScheduleEvictions == 0 || r.ServerCacheHitRate <= 0 {
+		t.Errorf("evictions %d, hit rate %v: want both > 0", r.ServerScheduleEvictions, r.ServerCacheHitRate)
 	}
-	if !oracle {
-		t.Error("offline section missing the belady oracle")
+
+	stderr.Reset()
+	if code := run([]string{"-loadtest", "-trace", filepath.Join(t.TempDir(), "missing.json")}, &stdout, &stderr); code != 1 {
+		t.Errorf("missing trace: exit code %d, want 1 (stderr: %s)", code, stderr.String())
 	}
 }
 

@@ -45,14 +45,18 @@ type Forwarder struct {
 	maxBody      int64
 }
 
+// DefaultHedgeTimeout is how long a forward waits for a response before
+// hedging to the next replica when no hedge timeout is configured.
+const DefaultHedgeTimeout = 250 * time.Millisecond
+
 // NewForwarder wires a forwarder to node. client nil selects a 5s-timeout
-// client; hedgeTimeout <= 0 selects 250ms.
+// client; hedgeTimeout <= 0 selects DefaultHedgeTimeout.
 func NewForwarder(node *Node, client *http.Client, hedgeTimeout time.Duration) *Forwarder {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
 	if hedgeTimeout <= 0 {
-		hedgeTimeout = 250 * time.Millisecond
+		hedgeTimeout = DefaultHedgeTimeout
 	}
 	return &Forwarder{node: node, client: client, hedgeTimeout: hedgeTimeout, maxBody: 8 << 20}
 }

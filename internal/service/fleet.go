@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"time"
 
 	"tictac/internal/fleet"
 )
@@ -250,7 +249,7 @@ func (s *Service) fleetMetrics() *FleetMetrics {
 	}
 	hedge := s.opts.FleetHedgeTimeout
 	if hedge <= 0 {
-		hedge = 250 * time.Millisecond
+		hedge = fleet.DefaultHedgeTimeout
 	}
 	return &FleetMetrics{
 		View:                s.fleet.View(),

@@ -12,9 +12,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tictac/internal/cache"
 	"tictac/internal/cluster"
 	"tictac/internal/core"
 	"tictac/internal/stats"
+	"tictac/internal/trace"
 )
 
 // LoadOptions configures RunLoad, the deterministic load generator behind
@@ -23,8 +25,8 @@ type LoadOptions struct {
 	// Target is the base URL of a running tictacd, e.g.
 	// "http://127.0.0.1:8080".
 	Target string
-	// Requests is the total number of schedule requests to fire
-	// (default 200).
+	// Requests is the number of schedule requests in the synthetic source
+	// (default 200). A Trace replays each of its events once instead.
 	Requests int
 	// Concurrency is the number of concurrent client workers (default 16).
 	Concurrency int
@@ -71,13 +73,23 @@ type LoadOptions struct {
 	// with a transient 503 fleet_unavailable retries on the other members
 	// (counted in FleetRetries) before it counts as a failure, so killing
 	// a node mid-load must produce zero wrong answers and zero failures.
-	// End-of-run metrics are collected from every reachable member and
+	// Server counters are collected from every reachable member and
 	// summed into AggregateHitRate.
 	FleetTargets []string
 	// Progress, when non-nil, is called after each completed schedule
 	// request with (completed, total). It may be called concurrently.
 	// Fleet kill tests use it to fell a node deterministically mid-load.
 	Progress func(completed, total int)
+	// Trace, when non-nil, is the request source: each event is one
+	// /v1/schedule request (see docs/cache-policies.md for the format).
+	// When nil, RunLoad builds the synthetic source: Requests events
+	// cycling through Models × Policies. Models and Policies also shape
+	// the batch, churn and error probes, whatever the source.
+	Trace *trace.Workload
+	// Timescale maps trace time to wall-clock for the open-loop feeder:
+	// event i is released T×Timescale seconds after the run starts. 0
+	// releases events as fast as workers accept them.
+	Timescale float64
 }
 
 func (o LoadOptions) withDefaults() LoadOptions {
@@ -117,7 +129,9 @@ func (o LoadOptions) withDefaults() LoadOptions {
 // exists to catch. The Batch* fields hold the /v1/batch mix to the same
 // bar: a batch variant's bytes must equal its single /v1/simulate twin.
 type LoadReport struct {
-	Target          string               `json:"target"`
+	Target string `json:"target"`
+	// Trace names the request source: the trace's name, or "synthetic".
+	Trace           string               `json:"trace"`
 	Requests        int                  `json:"requests"`
 	Concurrency     int                  `json:"concurrency"`
 	DistinctConfigs int                  `json:"distinct_configs"`
@@ -141,10 +155,14 @@ type LoadReport struct {
 	// and what went wrong.
 	ErrorChecks        int      `json:"error_checks"`
 	ErrorCheckFailures []string `json:"error_check_failures,omitempty"`
-	// Server-side view, read from /metrics after the run. In fleet mode
-	// these are summed across every reachable member.
-	ServerScheduleBuilds uint64  `json:"server_schedule_builds"`
-	ServerCacheHitRate   float64 `json:"server_schedule_cache_hit_rate"`
+	// Server-side view: /metrics read before and after the run, reported
+	// as the difference, so traffic a long-lived server saw before the run
+	// never counts. In fleet mode these are summed across every member
+	// reachable at the end. The hit rate is cache.Stats.HitRate.
+	ServerCachePolicy       string  `json:"server_cache_policy"`
+	ServerScheduleBuilds    uint64  `json:"server_schedule_builds"`
+	ServerScheduleEvictions uint64  `json:"server_schedule_evictions"`
+	ServerCacheHitRate      float64 `json:"server_schedule_cache_hit_rate"`
 
 	// Fleet mode (empty/zero otherwise). FleetRetries counts transient
 	// failovers absorbed while a member was dying or dead; DeadTargets are
@@ -159,15 +177,16 @@ type LoadReport struct {
 	PerNode          map[string]NodeLoadStats `json:"per_node,omitempty"`
 }
 
-// NodeLoadStats is one fleet member's end-of-run slice of the load: its
-// schedule-cache counters plus its fleet forward/hedge/drain totals — the
-// per-node section of the CI fleet report artifact.
+// NodeLoadStats is one fleet member's slice of the load, as deltas over
+// the run: its schedule-cache counters plus its fleet forward/hedge/drain
+// totals — the per-node section of the CI fleet report artifact.
 type NodeLoadStats struct {
 	Node           string  `json:"node"`
 	HitRate        float64 `json:"hit_rate"`
 	Hits           uint64  `json:"hits"`
 	Misses         uint64  `json:"misses"`
 	Coalesced      uint64  `json:"coalesced"`
+	Evictions      uint64  `json:"evictions"`
 	ScheduleBuilds uint64  `json:"schedule_builds"`
 	ForwardedIn    uint64  `json:"forwarded_in"`
 	ForwardedOut   uint64  `json:"forwarded_out"`
@@ -213,11 +232,12 @@ func (r *LoadReport) Err() error {
 // RunLoad hammers a running tictacd with a deterministic request mix and
 // verifies every response against a direct library call.
 //
-// The schedule workload cycles through the cross product of Models ×
-// Policies (workers=2, ps=1), so with Requests > distinct configs the
-// server must serve repeats from cache. For each distinct config the
-// expected result is computed once, in-process, through the exact same code
-// path the server's cache build uses (cluster.Build → ComputeSchedule → one
+// The schedule requests come from one source, a trace.Workload: opts.Trace,
+// or the synthetic cycle through Models × Policies (workers=2, ps=1), in
+// which case Requests > distinct configs forces the server to serve
+// repeats from cache. For each distinct event key the expected result is
+// computed once, in-process, through the exact same code path the
+// server's cache build uses (cluster.Build → ComputeSchedule → one
 // predicted iteration) — a response that differs in any byte is a mismatch.
 //
 // Mixed into the same worker pool, Batches /v1/batch requests fan a policy
@@ -229,42 +249,30 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	if opts.Target == "" && len(opts.FleetTargets) == 0 {
 		return nil, fmt.Errorf("loadtest: no target URL")
 	}
+	if opts.Timescale < 0 {
+		return nil, fmt.Errorf("loadtest: timescale must be >= 0 (got %g)", opts.Timescale)
+	}
+	w := opts.Trace
+	if w == nil {
+		w = syntheticWorkload(opts)
+	}
+	if err := w.Validate(); err != nil {
+		return nil, fmt.Errorf("loadtest: %w", err)
+	}
+	want, err := expectedPayloads(w)
+	if err != nil {
+		return nil, err
+	}
 	d := newLoadDialer(opts)
+	collector := startCollector(opts.Client, d.targets)
 
-	// The deterministic request mix plus its direct-library references.
-	type workItem struct {
-		req      ScheduleRequest
-		expected []byte // compact canonical ScheduleResult payload
-	}
-	var items []workItem
-	for _, m := range opts.Models {
-		for _, p := range opts.Policies {
-			req := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: m, Policy: p, Workers: 2, PS: 1, Seed: opts.Seed}}
-			res, err := req.resolve()
-			if err != nil {
-				return nil, fmt.Errorf("loadtest: bad workload request: %w", err)
-			}
-			c, err := cluster.Build(res.cfg)
-			if err != nil {
-				return nil, fmt.Errorf("loadtest: direct build: %w", err)
-			}
-			entry, err := computeScheduleResult(&clusterEntry{
-				c:              c,
-				graphDigest:    core.GraphDigest(c.Graph),
-				platformDigest: res.key.platformDigest,
-			}, res)
-			if err != nil {
-				return nil, fmt.Errorf("loadtest: direct schedule: %w", err)
-			}
-			items = append(items, workItem{req: req, expected: entry.payload})
-		}
-	}
-
+	events := w.Events
 	report := &LoadReport{
 		Target:          opts.Target,
-		Requests:        opts.Requests,
+		Trace:           w.Name,
+		Requests:        len(events),
 		Concurrency:     opts.Concurrency,
-		DistinctConfigs: len(items),
+		DistinctConfigs: len(want),
 		BatchRequests:   opts.Batches,
 		ChurnProbes:     opts.ChurnProbes,
 		FleetTargets:    opts.FleetTargets,
@@ -273,28 +281,30 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	var batchVariants, batchMismatches, batchFailures atomic.Int64
 	var churnStale, churnFailures atomic.Int64
 	var scheduleDone atomic.Int64
-	lat := stats.NewLatencyRecorder(opts.Requests)
-	// Indices [0, Requests) are schedule requests; [Requests,
-	// Requests+Batches) are batch requests and [Requests+Batches,
-	// Requests+Batches+ChurnProbes) churn probes, interleaved into the feed.
-	indices := make(chan int)
+	lat := stats.NewLatencyRecorder(len(events))
+	// Job indices [0, n) are trace events; [n, n+Batches) are batch
+	// requests and [n+Batches, n+Batches+ChurnProbes) churn probes,
+	// interleaved into the feed. The queue holds every job, so the feeder
+	// releases each event on the trace clock however slow the server is.
+	n, extras := len(events), opts.Batches+opts.ChurnProbes
+	jobs := make(chan int, n+extras)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < opts.Concurrency; w++ {
+	for i := 0; i < opts.Concurrency; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range indices {
-				if i >= opts.Requests+opts.Batches {
-					stale, err := runChurnProbe(d, opts, int64(i-opts.Requests-opts.Batches))
+			for j := range jobs {
+				if j >= n+opts.Batches {
+					stale, err := runChurnProbe(d, opts, int64(j-n-opts.Batches))
 					churnStale.Add(int64(stale))
 					if err != nil {
 						churnFailures.Add(1)
 					}
 					continue
 				}
-				if i >= opts.Requests {
-					vars, miss, err := runBatchProbe(d, opts, int64(i-opts.Requests))
+				if j >= n {
+					vars, miss, err := runBatchProbe(d, opts, int64(j-n))
 					batchVariants.Add(int64(vars))
 					batchMismatches.Add(int64(miss))
 					if err != nil {
@@ -302,9 +312,9 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 					}
 					continue
 				}
-				item := items[i%len(items)]
+				e := events[j]
 				t0 := time.Now()
-				gotCached, err := postSchedule(d, item.req, item.expected)
+				gotCached, err := postSchedule(d, ScheduleRequest{WorkloadSpec: eventSpec(e)}, want[e.Key()])
 				lat.Observe(time.Since(t0).Seconds())
 				switch {
 				case errors.Is(err, errMismatch):
@@ -315,31 +325,32 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 					cached.Add(1)
 				}
 				if done := scheduleDone.Add(1); opts.Progress != nil {
-					opts.Progress(int(done), opts.Requests)
+					opts.Progress(int(done), n)
 				}
 			}
 		}()
 	}
-	extras := opts.Batches + opts.ChurnProbes
-	stride := opts.Requests
+	stride := n
 	if extras > 0 {
-		stride = opts.Requests / extras
-		if stride < 1 {
-			stride = 1
-		}
+		stride = max(n/extras, 1)
 	}
 	sent := 0
-	for i := 0; i < opts.Requests; i++ {
-		indices <- i
+	for i, e := range events {
+		if opts.Timescale > 0 {
+			if wait := time.Duration(e.T*opts.Timescale*float64(time.Second)) - time.Since(start); wait > 0 {
+				time.Sleep(wait)
+			}
+		}
+		jobs <- i
 		if extras > 0 && (i+1)%stride == 0 && sent < extras {
-			indices <- opts.Requests + sent
+			jobs <- n + sent
 			sent++
 		}
 	}
 	for ; sent < extras; sent++ {
-		indices <- opts.Requests + sent
+		jobs <- n + sent
 	}
-	close(indices)
+	close(jobs)
 	wg.Wait()
 	report.DurationSeconds = time.Since(start).Seconds()
 	report.Failures = int(failures.Load())
@@ -355,69 +366,183 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	if opts.CheckErrors {
 		report.ErrorChecks, report.ErrorCheckFailures = runErrorChecks(d, opts)
 	}
-
-	if len(opts.FleetTargets) > 0 {
-		report.FleetRetries = int(d.retries.Load())
-		if err := collectFleetMetrics(opts, report); err != nil {
-			return report, err
-		}
-		return report, nil
-	}
-
-	// Server-side cache view.
-	metrics, err := fetchMetrics(opts.Client, opts.Target)
-	if err != nil {
-		return report, fmt.Errorf("loadtest: fetch metrics: %w", err)
-	}
-	report.ServerScheduleBuilds = metrics.Builds.Schedules
-	report.ServerCacheHitRate = metrics.Cache.Schedules.HitRate
-	return report, nil
+	report.FleetRetries = int(d.retries.Load()) // a single target never retries
+	return report, collector.finish(report, len(opts.FleetTargets) > 0)
 }
 
-// collectFleetMetrics polls every fleet member's /metrics, fills the
-// per-node section, and sums the schedule-cache counters into the aggregate
-// hit rate. Unreachable members (e.g. a node the run deliberately killed)
-// are recorded in DeadTargets, not fatal — but every member being dead is.
-func collectFleetMetrics(opts LoadOptions, report *LoadReport) error {
-	report.PerNode = make(map[string]NodeLoadStats, len(opts.FleetTargets))
-	var hits, misses, coalesced uint64
-	for _, t := range opts.FleetTargets {
-		m, err := fetchMetrics(opts.Client, t)
-		if err != nil {
-			report.DeadTargets = append(report.DeadTargets, t)
+// syntheticWorkload is the default request source: Requests events cycling
+// through Models × Policies at workers=2, ps=1 and one seed, all at t=0.
+func syntheticWorkload(opts LoadOptions) *trace.Workload {
+	w := &trace.Workload{Version: trace.WorkloadVersion, Name: "synthetic", Seed: opts.Seed}
+	per := len(opts.Policies)
+	for i := 0; i < opts.Requests; i++ {
+		slot := i % (len(opts.Models) * per)
+		w.Events = append(w.Events, trace.Event{
+			Model:   opts.Models[slot/per],
+			Policy:  opts.Policies[slot%per],
+			Workers: 2,
+			PS:      1,
+			Seed:    opts.Seed,
+		})
+	}
+	return w
+}
+
+// eventSpec is the workload one trace event requests.
+func eventSpec(e trace.Event) WorkloadSpec {
+	return WorkloadSpec{Model: e.Model, Policy: e.Policy, Workers: e.Workers, PS: e.PS, Seed: e.Seed}
+}
+
+// expectedPayloads computes the direct-library reference payload for each
+// distinct event key in the trace, once.
+func expectedPayloads(w *trace.Workload) (map[string][]byte, error) {
+	want := make(map[string][]byte)
+	for _, e := range w.Events {
+		k := e.Key()
+		if _, ok := want[k]; ok {
 			continue
 		}
-		ns := NodeLoadStats{
-			HitRate:        m.Cache.Schedules.HitRate,
-			Hits:           m.Cache.Schedules.Hits,
-			Misses:         m.Cache.Schedules.Misses,
-			Coalesced:      m.Cache.Schedules.Coalesced,
-			ScheduleBuilds: m.Builds.Schedules,
+		ref, err := directSchedule(eventSpec(e))
+		if err != nil {
+			return nil, fmt.Errorf("loadtest: event %q: %w", k, err)
 		}
-		if m.Fleet != nil {
-			ns.Node = m.Fleet.Node
-			ns.ForwardedIn = m.Fleet.ForwardedIn
-			ns.Drained = m.Fleet.Drained
-			ns.Warmed = m.Fleet.Warmed
-			for _, pv := range m.Fleet.Members {
-				ns.ForwardedOut += pv.Forwarded
-				ns.Hedges += pv.Hedges
-			}
+		want[k] = ref.entry.payload
+	}
+	return want, nil
+}
+
+// directRef is a workload's reference answer, computed in-process.
+type directRef struct {
+	ce    *clusterEntry
+	entry *scheduleEntry
+	res   resolved
+}
+
+// directSchedule computes spec's schedule entry through the exact code path
+// the server's cache build uses (resolve → cluster.Build →
+// computeScheduleResult), so a served payload that differs in any byte is
+// a determinism-contract violation.
+func directSchedule(spec WorkloadSpec) (directRef, error) {
+	res, err := spec.resolve()
+	if err != nil {
+		return directRef{}, err
+	}
+	c, err := cluster.Build(res.cfg)
+	if err != nil {
+		return directRef{}, err
+	}
+	ce := &clusterEntry{c: c, graphDigest: core.GraphDigest(c.Graph), platformDigest: res.key.platformDigest}
+	entry, err := computeScheduleResult(ce, res)
+	if err != nil {
+		return directRef{}, err
+	}
+	return directRef{ce: ce, entry: entry, res: res}, nil
+}
+
+// loadCollector reads every target's /metrics before and after a run, so
+// the report carries the run's own server-side counts.
+type loadCollector struct {
+	client  *http.Client
+	targets []string
+	before  []*MetricsResponse // nil where a target was unreachable
+}
+
+func startCollector(client *http.Client, targets []string) *loadCollector {
+	c := &loadCollector{client: client, targets: targets, before: make([]*MetricsResponse, len(targets))}
+	for i, t := range targets {
+		c.before[i], _ = fetchMetrics(client, t)
+	}
+	return c
+}
+
+// finish reads every target again and fills the report's server-side
+// fields with the per-node deltas, summed. A target unreachable at the end
+// is recorded in DeadTargets, not fatal — but every target being
+// unreachable is. The per-node section is filled in fleet mode only.
+func (c *loadCollector) finish(report *LoadReport, fleetMode bool) error {
+	var total cache.Stats
+	var dead []string
+	perNode := make(map[string]NodeLoadStats, len(c.targets))
+	var lastErr error
+	for i, t := range c.targets {
+		after, err := fetchMetrics(c.client, t)
+		if err != nil {
+			dead, lastErr = append(dead, t), err
+			continue
 		}
-		report.PerNode[t] = ns
-		hits += ns.Hits
-		misses += ns.Misses
-		coalesced += ns.Coalesced
+		ns := nodeStats(after).since(nodeStats(c.before[i]))
+		perNode[t] = ns
+		if report.ServerCachePolicy == "" {
+			report.ServerCachePolicy = after.Cache.Schedules.Policy
+		}
+		st := ns.cacheStats()
+		total.Hits += st.Hits
+		total.Misses += st.Misses
+		total.Coalesced += st.Coalesced
+		total.Evictions += st.Evictions
 		report.ServerScheduleBuilds += ns.ScheduleBuilds
 	}
-	if len(report.DeadTargets) == len(opts.FleetTargets) {
-		return fmt.Errorf("loadtest: every fleet target is unreachable")
+	report.ServerScheduleEvictions = total.Evictions
+	report.ServerCacheHitRate = total.HitRate()
+	if fleetMode {
+		report.PerNode, report.DeadTargets = perNode, dead
+		report.AggregateHitRate = report.ServerCacheHitRate
 	}
-	if lookups := hits + misses + coalesced; lookups > 0 {
-		report.AggregateHitRate = float64(hits+coalesced) / float64(lookups)
+	if len(dead) == len(c.targets) {
+		return fmt.Errorf("loadtest: fetch metrics: no target reachable: %w", lastErr)
 	}
-	report.ServerCacheHitRate = report.AggregateHitRate
 	return nil
+}
+
+// nodeStats is one node's cumulative counters from a /metrics reading
+// (zero for nil).
+func nodeStats(m *MetricsResponse) NodeLoadStats {
+	if m == nil {
+		return NodeLoadStats{}
+	}
+	s := m.Cache.Schedules
+	ns := NodeLoadStats{
+		Hits:           s.Hits,
+		Misses:         s.Misses,
+		Coalesced:      s.Coalesced,
+		Evictions:      s.Evictions,
+		ScheduleBuilds: m.Builds.Schedules,
+	}
+	if m.Fleet != nil {
+		ns.Node = m.Fleet.Node
+		ns.ForwardedIn = m.Fleet.ForwardedIn
+		ns.Drained = m.Fleet.Drained
+		ns.Warmed = m.Fleet.Warmed
+		for _, pv := range m.Fleet.Members {
+			ns.ForwardedOut += pv.Forwarded
+			ns.Hedges += pv.Hedges
+		}
+	}
+	return ns
+}
+
+// since returns the counters accumulated between the before reading and
+// ns, with the hit rate taken over that window.
+func (ns NodeLoadStats) since(before NodeLoadStats) NodeLoadStats {
+	d := NodeLoadStats{
+		Node:           ns.Node,
+		Hits:           ns.Hits - before.Hits,
+		Misses:         ns.Misses - before.Misses,
+		Coalesced:      ns.Coalesced - before.Coalesced,
+		Evictions:      ns.Evictions - before.Evictions,
+		ScheduleBuilds: ns.ScheduleBuilds - before.ScheduleBuilds,
+		ForwardedIn:    ns.ForwardedIn - before.ForwardedIn,
+		ForwardedOut:   ns.ForwardedOut - before.ForwardedOut,
+		Hedges:         ns.Hedges - before.Hedges,
+		Drained:        ns.Drained - before.Drained,
+		Warmed:         ns.Warmed - before.Warmed,
+	}
+	d.HitRate = d.cacheStats().HitRate()
+	return d
+}
+
+func (ns NodeLoadStats) cacheStats() cache.Stats {
+	return cache.Stats{Hits: ns.Hits, Misses: ns.Misses, Coalesced: ns.Coalesced, Evictions: ns.Evictions}
 }
 
 // loadBatchRequest is the deterministic batch request for probe b: a policy
@@ -522,23 +647,14 @@ func churnProbeSpecs(opts LoadOptions, k int64) (quiet, churn WorkloadSpec) {
 }
 
 // directSimulate computes the reference simulate payload for a spec
-// through the exact code path the server's handlers use (resolve →
-// cluster.Build → computeScheduleResult → computeSimulateResult).
+// through the exact code path the server's handlers use (directSchedule →
+// computeSimulateResult).
 func directSimulate(spec WorkloadSpec) (SimulateResult, []byte, error) {
-	res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+	ref, err := directSchedule(spec)
 	if err != nil {
 		return SimulateResult{}, nil, err
 	}
-	c, err := cluster.Build(res.cfg)
-	if err != nil {
-		return SimulateResult{}, nil, err
-	}
-	ce := &clusterEntry{c: c, graphDigest: core.GraphDigest(c.Graph), platformDigest: res.key.platformDigest}
-	e, err := computeScheduleResult(ce, res)
-	if err != nil {
-		return SimulateResult{}, nil, err
-	}
-	result, err := computeSimulateResult(ce, e, res)
+	result, err := computeSimulateResult(ref.ce, ref.entry, ref.res)
 	if err != nil {
 		return SimulateResult{}, nil, err
 	}

@@ -8,6 +8,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"tictac/internal/cache"
+	"tictac/internal/trace"
 )
 
 // corruptingProxy forwards to the real service but flips one byte of every
@@ -221,5 +225,149 @@ func TestRunLoadDetectsDivergence(t *testing.T) {
 func TestRunLoadRequiresTarget(t *testing.T) {
 	if _, err := RunLoad(LoadOptions{}); err == nil || !strings.Contains(err.Error(), "target") {
 		t.Fatalf("err = %v, want missing-target error", err)
+	}
+}
+
+// TestRunLoadReportsDeltasOverTheRun runs the same load twice against one
+// server. The second run finds every schedule cached, and its report must
+// say so: server counters cover the run, not the server's lifetime.
+func TestRunLoadReportsDeltasOverTheRun(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	opts := LoadOptions{
+		Target:      ts.URL,
+		Requests:    60,
+		Concurrency: 8,
+		Seed:        1,
+		Models:      []string{"AlexNet v2", "Inception v1"},
+		Policies:    []string{"tic"},
+		CheckErrors: true,
+		BatchLimit:  DefaultMaxBatch,
+	}
+	for run, wantBuilds := range []uint64{9, 0} {
+		report, err := RunLoad(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := report.Err(); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if report.ServerScheduleBuilds != wantBuilds {
+			t.Errorf("run %d: server schedule builds = %d, want %d", run, report.ServerScheduleBuilds, wantBuilds)
+		}
+	}
+}
+
+// testTrace is a small fixed-seed Zipf trace over eight AlexNet configs.
+func testTrace(t *testing.T) *trace.Workload {
+	t.Helper()
+	w, err := trace.Generate(trace.GeneratorSpec{
+		Kind:    trace.GenZipf,
+		Seed:    7,
+		Events:  60,
+		Configs: 8,
+		Models:  []string{"AlexNet v2"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestRunReplayInProcess replays a trace through servers whose schedule
+// cache is too small for it, under each eviction policy: every response is
+// byte-verified, and the report names the server's policy and shows it
+// both hitting and evicting. One shard makes the eviction certain: the
+// trace has more keys than the cache holds, whatever the shard seed.
+func TestRunReplayInProcess(t *testing.T) {
+	w := testTrace(t)
+	for _, policy := range []string{cache.LRU, cache.LFU} {
+		t.Run(policy, func(t *testing.T) {
+			_, ts := newTestServer(t, Options{CacheCapacity: 2, CachePolicy: policy, Shards: 1})
+			report, err := RunLoad(LoadOptions{
+				Target:      ts.URL,
+				Trace:       w,
+				Batches:     -1,
+				ChurnProbes: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := report.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if report.Requests != len(w.Events) || report.Trace != w.Name {
+				t.Errorf("replayed %d events of trace %q, want %d of %q", report.Requests, report.Trace, len(w.Events), w.Name)
+			}
+			if report.Mismatches != 0 {
+				t.Errorf("mismatches = %d, want 0", report.Mismatches)
+			}
+			if report.ServerCacheHitRate <= 0 || report.ServerScheduleEvictions == 0 {
+				t.Errorf("hit rate %v, evictions %d: want both > 0", report.ServerCacheHitRate, report.ServerScheduleEvictions)
+			}
+			if report.ServerCachePolicy != policy {
+				t.Errorf("server cache policy = %q (from /metrics), want %q", report.ServerCachePolicy, policy)
+			}
+		})
+	}
+}
+
+// TestRunReplayAgainstFixedTarget replays a trace against a server that
+// was already running: the report describes that one server, its policy
+// read from /metrics and its builds counted from the trace's own misses.
+func TestRunReplayAgainstFixedTarget(t *testing.T) {
+	_, ts := newTestServer(t, Options{CacheCapacity: 4, CachePolicy: cache.LFU})
+	w := testTrace(t)
+	report, err := RunLoad(LoadOptions{Target: ts.URL, Trace: w, Batches: -1, ChurnProbes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if report.Requests != len(w.Events) {
+		t.Errorf("replayed %d events, want %d", report.Requests, len(w.Events))
+	}
+	if got := report.ServerCachePolicy; got != cache.LFU {
+		t.Errorf("server cache policy = %q (from /metrics), want %q", got, cache.LFU)
+	}
+	if report.ServerScheduleBuilds == 0 || report.ServerScheduleBuilds > uint64(len(w.Events)) {
+		t.Errorf("server schedule builds = %d, want 1..%d", report.ServerScheduleBuilds, len(w.Events))
+	}
+}
+
+// TestRunLoadPacesTrace replays a trace on its own clock: the last event
+// is due at t=0.2s, so at Timescale 1 the run cannot finish sooner.
+func TestRunLoadPacesTrace(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	w := &trace.Workload{Version: trace.WorkloadVersion, Name: "paced", Events: []trace.Event{
+		{T: 0, Model: "AlexNet v2", Policy: "tic"},
+		{T: 0.1, Model: "AlexNet v2", Policy: "tic"},
+		{T: 0.2, Model: "AlexNet v2", Policy: "tic"},
+	}}
+	start := time.Now()
+	report, err := RunLoad(LoadOptions{Target: ts.URL, Trace: w, Timescale: 1, Batches: -1, ChurnProbes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < 200*time.Millisecond || report.DurationSeconds < 0.2 {
+		t.Errorf("paced replay took %v (report %.3fs), want >= 200ms", elapsed, report.DurationSeconds)
+	}
+}
+
+func TestRunLoadOptionValidation(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cases := map[string]LoadOptions{
+		"invalid trace":      {Trace: &trace.Workload{Version: trace.WorkloadVersion, Name: "empty"}},
+		"negative timescale": {Trace: testTrace(t), Timescale: -1},
+		"unknown model":      {Models: []string{"NoSuchNet"}},
+	}
+	for name, opts := range cases {
+		opts.Target = ts.URL
+		if _, err := RunLoad(opts); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -80,7 +80,7 @@ type Options struct {
 	// gains the fleet section. See docs/fleet.md.
 	Fleet *fleet.Node
 	// FleetHedgeTimeout is how long a forward waits on the owner before
-	// hedging to the next replica (<= 0 selects the forwarder default).
+	// hedging to the next replica (<= 0 selects fleet.DefaultHedgeTimeout).
 	FleetHedgeTimeout time.Duration
 	// FleetClient is the HTTP client forwards and drain streaming use
 	// (nil selects a default with a 10s timeout).

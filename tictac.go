@@ -164,13 +164,6 @@ type (
 	ServiceLoadOptions = service.LoadOptions
 	// ServiceLoadReport summarizes one load-generator run.
 	ServiceLoadReport = service.LoadReport
-	// ServiceReplayOptions configures the trace-replay harness
-	// (tictacd -loadtest -trace).
-	ServiceReplayOptions = service.ReplayOptions
-	// ServiceReplayReport summarizes one trace replay: live hit-rate and
-	// latency curves per eviction policy × cache size, plus the offline
-	// pure-cache shootout with the Belady oracle.
-	ServiceReplayReport = service.ReplayReport
 
 	// FleetMember identifies one tictacd node in a sharded fleet.
 	FleetMember = fleet.Member
@@ -333,15 +326,9 @@ func NewFleetNode(cfg FleetConfig) (*FleetNode, error) { return fleet.NewNode(cf
 
 // RunServiceLoad drives the deterministic load generator against a running
 // service and verifies every response against direct library computation.
+// Set opts.Trace to replay a WorkloadTrace instead of the synthetic mix.
 func RunServiceLoad(opts ServiceLoadOptions) (*ServiceLoadReport, error) {
 	return service.RunLoad(opts)
-}
-
-// RunServiceReplay replays a workload trace against the service and
-// reports hit-rate/latency curves per trace × cache size × eviction
-// policy, plus the offline pure-cache shootout (Belady oracle included).
-func RunServiceReplay(opts ServiceReplayOptions) (*ServiceReplayReport, error) {
-	return service.RunReplay(opts)
 }
 
 // CachePolicies returns every registered cache eviction-policy name in
@@ -356,7 +343,8 @@ func RegisterCachePolicy(name string, f func() CacheEvictionPolicy) {
 }
 
 // GenerateWorkloadTrace produces a deterministic synthetic request trace
-// (Zipf, diurnal or flash-crowd) for RunServiceReplay.
+// (Zipf, diurnal or flash-crowd), replayable through RunServiceLoad's
+// Trace option.
 func GenerateWorkloadTrace(spec TraceGeneratorSpec) (*WorkloadTrace, error) {
 	return trace.Generate(spec)
 }
