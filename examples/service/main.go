@@ -34,9 +34,8 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("tictacd serving on %s\n\n", base)
 
-	// 1. A cold schedule request: built once, digested, cached. The
-	// canonical body wraps the workload in an envelope ({"workload": ...});
-	// the older flat layout is still accepted.
+	// 1. A cold schedule request: built once, digested, cached. The body
+	// wraps the workload in an envelope ({"workload": ...}).
 	workload := tictac.ServiceWorkloadSpec{
 		Model: "ResNet-50 v2", Policy: "tic", Workers: 4, PS: 2, Seed: 1,
 	}
@@ -89,7 +88,7 @@ func main() {
 	// simulate protocol knobs live on the same WorkloadSpec envelope.
 	simWorkload := workload
 	simWorkload.MeasureIterations = 5
-	simReq := tictac.ServiceSimulateRequest{Workload: &simWorkload}
+	simReq := tictac.ServiceScheduleRequest{Workload: &simWorkload}
 	var sim struct {
 		Result struct {
 			MeanThroughput  float64 `json:"mean_throughput_samples_per_second"`

@@ -11,8 +11,7 @@ import (
 
 // BatchRequest is the body of POST /v1/batch: one base workload plus a list
 // of what-if variants expressed as deltas on it. The base workload uses the
-// same envelope as /v1/schedule and /v1/simulate (canonical "workload"
-// object or the legacy flat layout).
+// same "workload" envelope as /v1/schedule and /v1/simulate.
 //
 // The handler amortizes everything the variants share: the graph is parsed
 // and digested exactly once, one sim.Runner per graph is reused across all
@@ -21,19 +20,11 @@ import (
 // fan out on a deterministic worker pool — results are bit-identical at any
 // pool width.
 type BatchRequest struct {
-	// Workload is the canonical base-spec envelope.
+	// Workload is the base spec every variant applies its deltas to.
 	Workload *WorkloadSpec `json:"workload,omitempty"`
-	// The embedded spec fields accept the legacy flat layout for the base.
-	WorkloadSpec
 	// Variants are the what-if deltas; each entry yields one result slot in
 	// the response, in order. Must be non-empty.
 	Variants []BatchVariant `json:"variants"`
-}
-
-// spec returns the base WorkloadSpec, enforcing the same one-form-only rule
-// as ScheduleRequest.
-func (req BatchRequest) spec() (WorkloadSpec, error) {
-	return ScheduleRequest{Workload: req.Workload, WorkloadSpec: req.WorkloadSpec}.spec()
 }
 
 // BatchVariant is one what-if delta on the base workload. Every field is
@@ -205,14 +196,11 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		return codeErr(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
 			"batch carries %d variants; the cap is %d (-max-batch)", len(req.Variants), s.opts.MaxBatch)
 	}
-	base, err := req.spec()
+	baseRes, err := resolveWorkload(req.Workload)
 	if err != nil {
 		return err
 	}
-	baseRes, err := base.resolve()
-	if err != nil {
-		return err
-	}
+	base := baseRes.spec
 	// A batch routes on its base spec's key: variants must not change the
 	// graph, so the whole batch shares the base workload's home node.
 	if handled, err := s.maybeForward(w, r, body, baseRes); handled || err != nil {

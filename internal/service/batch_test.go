@@ -58,7 +58,7 @@ func TestBatchEndpoint(t *testing.T) {
 		if vr.Error != nil {
 			t.Fatalf("variant %d failed: %+v", i, vr.Error)
 		}
-		single := SimulateRequest{Workload: func() *WorkloadSpec {
+		single := ScheduleRequest{Workload: func() *WorkloadSpec {
 			s := req.Variants[i].apply(base)
 			return &s
 		}()}

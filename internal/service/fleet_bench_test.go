@@ -19,7 +19,7 @@ import (
 func BenchmarkFleetForward(b *testing.B) {
 	nodes := startTestFleet(b, 2)
 	spec := specOwnedBy(b, nodes, 1, nil)
-	body, err := json.Marshal(ScheduleRequest{WorkloadSpec: spec})
+	body, err := json.Marshal(ScheduleRequest{Workload: &spec})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func startTestFleet(t testing.TB, n int) []*fleetTestNode {
 // through the library, the same way the loadtest does.
 func directSchedulePayload(t testing.TB, spec WorkloadSpec) []byte {
 	t.Helper()
-	res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+	res, err := spec.resolve()
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
@@ -126,7 +126,7 @@ func directSchedulePayload(t testing.TB, spec WorkloadSpec) []byte {
 // result payload (on 200), and the raw body.
 func postScheduleTo(t testing.TB, url string, spec WorkloadSpec, header http.Header) (int, []byte, []byte) {
 	t.Helper()
-	body, err := json.Marshal(ScheduleRequest{WorkloadSpec: spec})
+	body, err := json.Marshal(ScheduleRequest{Workload: &spec})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -171,7 +171,7 @@ func specOwnedBy(t testing.TB, nodes []*fleetTestNode, want int, wantChain []str
 	for workers := 1; workers <= 24; workers++ {
 		for _, iters := range []int{0, 2, 3, 4} {
 			spec := WorkloadSpec{Model: "AlexNet v2", Workers: workers, PS: 1, Iterations: iters}
-			res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+			res, err := spec.resolve()
 			if err != nil {
 				t.Fatalf("resolve: %v", err)
 			}
@@ -348,7 +348,7 @@ func TestFleetDrainStreamsEntriesAndRacesWrites(t *testing.T) {
 	var specs []WorkloadSpec
 	for workers := 1; workers <= 24 && len(specs) < 3; workers++ {
 		spec := WorkloadSpec{Model: "AlexNet v2", Workers: workers, PS: 1}
-		res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+		res, err := spec.resolve()
 		if err != nil {
 			t.Fatalf("resolve: %v", err)
 		}
@@ -415,7 +415,7 @@ func TestFleetDrainStreamsEntriesAndRacesWrites(t *testing.T) {
 	}
 	nodes[0].kill()
 	for _, spec := range specs {
-		res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+		res, err := spec.resolve()
 		if err != nil {
 			t.Fatalf("resolve: %v", err)
 		}

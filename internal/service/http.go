@@ -141,7 +141,7 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeStrict(body, &req); err != nil {
 		return err
 	}
-	res, err := req.resolve()
+	res, err := resolveWorkload(req.Workload)
 	if err != nil {
 		return err
 	}
@@ -170,20 +170,7 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 // SimulateResult is the deterministic payload of a simulate response (and,
 // variant by variant, of a batch response).
 type SimulateResult struct {
-	Model   string `json:"model"`
-	Mode    string `json:"mode"`
-	Workers int    `json:"workers"`
-	PS      int    `json:"ps"`
-	Env     string `json:"env"`
-	Policy  string `json:"policy"`
-	Seed    int64  `json:"seed"`
-
-	GraphDigest    string `json:"graph_digest"`
-	PlatformDigest string `json:"platform_digest"`
-	ScheduleDigest string `json:"schedule_digest"`
-	// MembershipDigest fingerprints the workload's membership events
-	// (empty for a static fleet).
-	MembershipDigest string `json:"membership_digest"`
+	resultHeader
 
 	WarmupIterations  int `json:"warmup_iterations"`
 	MeasureIterations int `json:"measure_iterations"`
@@ -226,18 +213,10 @@ func computeSimulateResult(ce *clusterEntry, e *scheduleEntry, r resolved) (Simu
 	if err != nil {
 		return SimulateResult{}, fmt.Errorf("simulate: %w", err)
 	}
+	// Seed and MembershipDigest are part of the schedule key, so the
+	// entry's header already carries this request's values.
 	result := SimulateResult{
-		Model:                e.result.Model,
-		Mode:                 e.result.Mode,
-		Workers:              e.result.Workers,
-		PS:                   e.result.PS,
-		Env:                  e.result.Env,
-		Policy:               e.result.Policy,
-		Seed:                 r.seed,
-		GraphDigest:          e.result.GraphDigest,
-		PlatformDigest:       e.result.PlatformDigest,
-		ScheduleDigest:       e.result.ScheduleDigest,
-		MembershipDigest:     r.membershipDigest,
+		resultHeader:         e.result.resultHeader,
 		WarmupIterations:     r.warmupIters,
 		MeasureIterations:    r.measureIters,
 		MeanMakespan:         out.MeanMakespan,
@@ -275,11 +254,11 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	var req SimulateRequest
+	var req ScheduleRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return err
 	}
-	res, err := req.resolve()
+	res, err := resolveWorkload(req.Workload)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -313,14 +312,15 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 					continue
 				}
 				e := events[j]
+				spec := eventSpec(e)
 				t0 := time.Now()
-				gotCached, err := postSchedule(d, ScheduleRequest{WorkloadSpec: eventSpec(e)}, want[e.Key()])
+				gotCached, got, err := postResult(d, "/v1/schedule", ScheduleRequest{Workload: &spec})
 				lat.Observe(time.Since(t0).Seconds())
 				switch {
-				case errors.Is(err, errMismatch):
-					mismatches.Add(1)
 				case err != nil:
 					failures.Add(1)
+				case !bytes.Equal(got, want[e.Key()]):
+					mismatches.Add(1)
 				case gotCached:
 					cached.Add(1)
 				}
@@ -595,29 +595,17 @@ func runBatchProbe(d *loadDialer, opts LoadOptions, b int64) (vars, mismatches i
 		if vr.Error != nil {
 			return vars, mismatches, fmt.Errorf("variant %d: %s: %s", i, vr.Error.Code, vr.Error.Message)
 		}
-		single := SimulateRequest{WorkloadSpec: req.Variants[i].apply(base)}
-		status, payload, err := postJSON(d, "/v1/simulate", single)
+		spec := req.Variants[i].apply(base)
+		_, single, err := postResult(d, "/v1/simulate", ScheduleRequest{Workload: &spec})
 		if err != nil {
-			return vars, mismatches, err
+			return vars, mismatches, fmt.Errorf("simulate twin: %w", err)
 		}
-		if status != http.StatusOK {
-			return vars, mismatches, fmt.Errorf("simulate twin status %d: %s", status, payload)
-		}
-		var sr struct {
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.Unmarshal(payload, &sr); err != nil {
-			return vars, mismatches, err
-		}
-		var a, b bytes.Buffer
-		if err := json.Compact(&a, vr.Result); err != nil {
-			return vars, mismatches, err
-		}
-		if err := json.Compact(&b, sr.Result); err != nil {
+		var got bytes.Buffer
+		if err := json.Compact(&got, vr.Result); err != nil {
 			return vars, mismatches, err
 		}
 		vars++
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if !bytes.Equal(got.Bytes(), single) {
 			mismatches++
 		}
 	}
@@ -686,24 +674,11 @@ func runChurnProbe(d *loadDialer, opts LoadOptions, k int64) (stale int, err err
 		return 0, fmt.Errorf("churn probe: churn payload identical to quiet payload")
 	}
 	check := func(spec WorkloadSpec, want []byte) error {
-		status, payload, err := postJSON(d, "/v1/simulate", SimulateRequest{WorkloadSpec: spec})
+		_, got, err := postResult(d, "/v1/simulate", ScheduleRequest{Workload: &spec})
 		if err != nil {
-			return err
+			return fmt.Errorf("churn probe simulate: %w", err)
 		}
-		if status != http.StatusOK {
-			return fmt.Errorf("churn probe simulate status %d: %s", status, payload)
-		}
-		var sr struct {
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.Unmarshal(payload, &sr); err != nil {
-			return err
-		}
-		var got bytes.Buffer
-		if err := json.Compact(&got, sr.Result); err != nil {
-			return err
-		}
-		if !bytes.Equal(got.Bytes(), want) {
+		if !bytes.Equal(got, want) {
 			stale++
 		}
 		return nil
@@ -744,10 +719,10 @@ func runErrorChecks(d *loadDialer, opts LoadOptions) (checks int, failed []strin
 		return postJSON(d, path, v)
 	}
 
-	st, body, err := post("/v1/schedule", ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "NoSuchNet"}})
+	st, body, err := post("/v1/schedule", ScheduleRequest{Workload: &WorkloadSpec{Model: "NoSuchNet"}})
 	expect("unknown model", http.StatusBadRequest, CodeUnknownModel, st, body, err)
 
-	st, body, err = post("/v1/simulate", SimulateRequest{WorkloadSpec: WorkloadSpec{Model: opts.Models[0], Policy: "astrology"}})
+	st, body, err = post("/v1/simulate", ScheduleRequest{Workload: &WorkloadSpec{Model: opts.Models[0], Policy: "astrology"}})
 	expect("unknown policy", http.StatusBadRequest, CodeUnknownPolicy, st, body, err)
 
 	st, body, err = postRaw(d, "/v1/schedule", []byte(`{"model": `))
@@ -762,7 +737,7 @@ func runErrorChecks(d *loadDialer, opts LoadOptions) (checks int, failed []strin
 	st, body, err = post("/v1/batch", BatchRequest{Workload: &WorkloadSpec{Model: opts.Models[0]}})
 	expect("empty batch", http.StatusBadRequest, CodeBadRequest, st, body, err)
 
-	st, body, err = post("/v1/schedule", ScheduleRequest{WorkloadSpec: WorkloadSpec{
+	st, body, err = post("/v1/schedule", ScheduleRequest{Workload: &WorkloadSpec{
 		Model: opts.Models[0], Workers: 2,
 		Membership: []MembershipEventSpec{
 			{Kind: "worker_leave", Worker: 1, Iteration: 0},
@@ -770,13 +745,13 @@ func runErrorChecks(d *loadDialer, opts LoadOptions) (checks int, failed []strin
 		}}})
 	expect("departed worker", http.StatusBadRequest, CodeDepartedWorker, st, body, err)
 
-	st, body, err = post("/v1/simulate", SimulateRequest{WorkloadSpec: WorkloadSpec{
+	st, body, err = post("/v1/simulate", ScheduleRequest{Workload: &WorkloadSpec{
 		Model: opts.Models[0], Workers: 2,
 		Membership: []MembershipEventSpec{{Kind: "worker_leave", Worker: 1, Iteration: 0}},
 		Stragglers: []StragglerSpec{{Worker: 1, Factor: 2}}}})
 	expect("straggler on departed worker", http.StatusBadRequest, CodeDepartedWorker, st, body, err)
 
-	st, body, err = post("/v1/schedule", ScheduleRequest{WorkloadSpec: WorkloadSpec{
+	st, body, err = post("/v1/schedule", ScheduleRequest{Workload: &WorkloadSpec{
 		Model: opts.Models[0], Workers: 2,
 		Membership: []MembershipEventSpec{{Kind: "meteor", Worker: 1}}}})
 	expect("unknown membership kind", http.StatusBadRequest, CodeBadRequest, st, body, err)
@@ -790,32 +765,27 @@ func runErrorChecks(d *loadDialer, opts LoadOptions) (checks int, failed []strin
 	return checks, failed
 }
 
-// errMismatch distinguishes contract violations from transport failures.
-var errMismatch = errors.New("response diverged from direct library computation")
-
-// postSchedule sends one schedule request and verifies the response payload
-// against the expected canonical bytes.
-func postSchedule(d *loadDialer, req ScheduleRequest, expected []byte) (cached bool, err error) {
-	status, payload, err := postJSON(d, "/v1/schedule", req)
+// postResult POSTs v to a workload endpoint and returns the response's
+// cached flag and its "result" member in compact form, since simulate
+// responses are indented while reference payloads are compact. A non-200
+// status is an error.
+func postResult(d *loadDialer, path string, v any) (cached bool, result []byte, err error) {
+	status, payload, err := postJSON(d, path, v)
 	if err != nil {
-		return false, err
+		return false, nil, err
 	}
 	if status != http.StatusOK {
-		return false, fmt.Errorf("status %d: %s", status, payload)
+		return false, nil, fmt.Errorf("status %d: %s", status, payload)
 	}
 	var sr ScheduleResponse
 	if err := json.Unmarshal(payload, &sr); err != nil {
-		return false, err
+		return false, nil, err
 	}
-	// The transport re-indents nested JSON; compare canonical compact forms.
-	var got bytes.Buffer
-	if err := json.Compact(&got, sr.Result); err != nil {
-		return false, err
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, sr.Result); err != nil {
+		return false, nil, err
 	}
-	if !bytes.Equal(got.Bytes(), expected) {
-		return sr.Cached, errMismatch
-	}
-	return sr.Cached, nil
+	return sr.Cached, buf.Bytes(), nil
 }
 
 // loadDialer routes loadtest requests at the target set. Single-target mode

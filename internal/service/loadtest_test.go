@@ -116,9 +116,9 @@ func TestRunLoadChurnProbeCatchesStaleServer(t *testing.T) {
 	inner := svc.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/simulate" {
-			var req SimulateRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err == nil {
-				req.Membership = nil
+			var req ScheduleRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err == nil && req.Workload != nil {
+				req.Workload.Membership = nil
 				body, _ := json.Marshal(req)
 				r = r.Clone(r.Context())
 				r.Body = io.NopCloser(bytes.NewReader(body))

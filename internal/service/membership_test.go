@@ -24,16 +24,16 @@ func churnEvents() []MembershipEventSpec {
 // answered from the static fleet's cache entry.
 func TestMembershipDigestDivergesCacheAndPayload(t *testing.T) {
 	svc, ts := newTestServer(t, Options{})
-	quiet := ScheduleRequest{WorkloadSpec: WorkloadSpec{
-		Model: "AlexNet v2", Policy: "tic", Workers: 4, PS: 2, Seed: 1, MeasureIterations: 4}}
+	quiet := WorkloadSpec{
+		Model: "AlexNet v2", Policy: "tic", Workers: 4, PS: 2, Seed: 1, MeasureIterations: 4}
 	churn := quiet
 	churn.Membership = churnEvents()
 
-	resp, quietPayload := post(t, ts.URL+"/v1/schedule", quiet)
+	resp, quietPayload := post(t, ts.URL+"/v1/schedule", ScheduleRequest{Workload: &quiet})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("quiet status %d: %s", resp.StatusCode, quietPayload)
 	}
-	resp, churnPayload := post(t, ts.URL+"/v1/schedule", churn)
+	resp, churnPayload := post(t, ts.URL+"/v1/schedule", ScheduleRequest{Workload: &churn})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("churn status %d: %s", resp.StatusCode, churnPayload)
 	}
@@ -63,8 +63,8 @@ func TestMembershipDigestDivergesCacheAndPayload(t *testing.T) {
 	}
 
 	// Repeats of each hit their own slot with identical bytes.
-	_, quiet2 := post(t, ts.URL+"/v1/schedule", quiet)
-	_, churn2 := post(t, ts.URL+"/v1/schedule", churn)
+	_, quiet2 := post(t, ts.URL+"/v1/schedule", ScheduleRequest{Workload: &quiet})
+	_, churn2 := post(t, ts.URL+"/v1/schedule", ScheduleRequest{Workload: &churn})
 	if !bytes.Equal(compactResult(t, quietPayload), compactResult(t, quiet2)) {
 		t.Error("quiet repeat served different bytes")
 	}
@@ -81,7 +81,7 @@ func TestMembershipDigestDivergesCacheAndPayload(t *testing.T) {
 // stays deterministic across identical requests.
 func TestSimulateMembershipRecovery(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	req := SimulateRequest{WorkloadSpec: WorkloadSpec{
+	req := ScheduleRequest{Workload: &WorkloadSpec{
 		Model: "AlexNet v2", Policy: "tic", Workers: 4, PS: 2, Seed: 1,
 		MeasureIterations: 4, Membership: churnEvents()}}
 
@@ -154,7 +154,7 @@ func TestMembershipValidation(t *testing.T) {
 			Membership: []MembershipEventSpec{{Kind: "worker_leave", Worker: 0}}}, CodeBadRequest},
 	}
 	for _, tc := range cases {
-		resp, payload := post(t, ts.URL+"/v1/schedule", ScheduleRequest{WorkloadSpec: tc.spec})
+		resp, payload := post(t, ts.URL+"/v1/schedule", ScheduleRequest{Workload: &tc.spec})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, payload)
 			continue
@@ -202,7 +202,7 @@ func TestBatchMembershipVariant(t *testing.T) {
 		}
 		// Byte-identity with the single-request twin.
 		single := req.Variants[i].apply(base)
-		sresp, spayload := post(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: &single})
+		sresp, spayload := post(t, ts.URL+"/v1/simulate", ScheduleRequest{Workload: &single})
 		if sresp.StatusCode != http.StatusOK {
 			t.Fatalf("simulate twin %d: status %d: %s", i, sresp.StatusCode, spayload)
 		}

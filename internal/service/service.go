@@ -40,7 +40,6 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -64,9 +63,6 @@ type Options struct {
 	CachePolicy string
 	// Shards is the cache shard count. <= 0 selects DefaultShards.
 	Shards int
-	// LatencyWindow is the per-endpoint latency sample window for /metrics
-	// percentiles. <= 0 selects stats.DefaultLatencyWindow.
-	LatencyWindow int
 	// MaxBatch caps the variant count of a single /v1/batch request;
 	// requests above it are rejected with 413 batch_too_large. <= 0 selects
 	// DefaultMaxBatch.
@@ -208,7 +204,7 @@ func New(opts Options) *Service {
 		endpoints: make(map[string]*endpointMetrics),
 	}
 	for _, name := range []string{"schedule", "simulate", "batch", "policies", "healthz", "metrics"} {
-		s.endpoints[name] = &endpointMetrics{lat: stats.NewLatencyRecorder(opts.LatencyWindow)}
+		s.endpoints[name] = &endpointMetrics{lat: stats.NewLatencyRecorder(0)}
 	}
 	if opts.Fleet != nil {
 		s.fleet = opts.Fleet
@@ -218,52 +214,30 @@ func New(opts Options) *Service {
 		}
 		s.forwarder = fleet.NewForwarder(s.fleet, s.fleetClient, opts.FleetHedgeTimeout)
 		for _, name := range []string{"fleet", "warm", "drain"} {
-			s.endpoints[name] = &endpointMetrics{lat: stats.NewLatencyRecorder(opts.LatencyWindow)}
+			s.endpoints[name] = &endpointMetrics{lat: stats.NewLatencyRecorder(0)}
 		}
 	}
 	return s
 }
 
-// ScheduleRequest is the body of POST /v1/schedule and (by alias) of
-// POST /v1/simulate. The canonical form wraps the workload in an envelope:
+// ScheduleRequest is the body of POST /v1/schedule and POST /v1/simulate:
+// the workload wrapped in an envelope,
 //
 //	{"workload": {"model": "AlexNet", "policy": "tic", ...}}
 //
-// The pre-envelope flat layout — the same fields at the top level — is
-// still accepted for compatibility and resolves identically. Mixing both
-// forms in one request is rejected.
+// The simulate protocol knobs (warmup_iterations, measure_iterations,
+// jitter, reorder_prob, stragglers, contention) are part of WorkloadSpec
+// and simply ignored by /v1/schedule.
 type ScheduleRequest struct {
-	// Workload is the canonical envelope.
 	Workload *WorkloadSpec `json:"workload,omitempty"`
-	// The embedded spec fields accept the legacy flat layout.
-	WorkloadSpec
 }
 
-// SimulateRequest is the body of POST /v1/simulate. It is the same envelope
-// as ScheduleRequest: the simulate protocol knobs (warmup_iterations,
-// measure_iterations, jitter, reorder_prob, stragglers, contention) are
-// part of WorkloadSpec and simply ignored by /v1/schedule.
-type SimulateRequest = ScheduleRequest
-
-// spec returns the single WorkloadSpec this request denotes, rejecting
-// requests that mix the envelope with top-level flat fields (silently
-// preferring one would make the other's knobs vanish).
-func (req ScheduleRequest) spec() (WorkloadSpec, error) {
-	if req.Workload == nil {
-		return req.WorkloadSpec, nil
-	}
-	if !reflect.DeepEqual(req.WorkloadSpec, WorkloadSpec{}) {
-		return WorkloadSpec{}, badRequest(`request mixes the "workload" envelope with top-level workload fields; use one form`)
-	}
-	return *req.Workload, nil
-}
-
-// resolve is the one validation/digest path every POST endpoint goes
-// through: envelope normalization, then WorkloadSpec.resolve.
-func (req ScheduleRequest) resolve() (resolved, error) {
-	spec, err := req.spec()
-	if err != nil {
-		return resolved{}, err
+// resolveWorkload resolves the "workload" envelope of a schedule, simulate
+// or batch request. A missing envelope resolves as the zero spec, which
+// fails as an unknown model.
+func resolveWorkload(spec *WorkloadSpec) (resolved, error) {
+	if spec == nil {
+		return WorkloadSpec{}.resolve()
 	}
 	return spec.resolve()
 }
@@ -305,10 +279,11 @@ func (s *Service) derivedCluster(base *clusterEntry, r resolved) (*clusterEntry,
 	})
 }
 
-// ScheduleResult is the deterministic payload of a schedule response: a
-// pure function of the request, cached and served byte-identically to every
-// requester of the same semantic content.
-type ScheduleResult struct {
+// resultHeader is the leading block shared by ScheduleResult and
+// SimulateResult: which workload was answered and the content digests that
+// identify it. It is embedded first in both, so encoding/json promotes its
+// fields to the top of each payload in this order.
+type resultHeader struct {
 	Model   string `json:"model"`
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
@@ -324,6 +299,13 @@ type ScheduleResult struct {
 	// (empty for a static fleet); it diverges the moment the planned churn
 	// differs, so clients can assert they were not served a stale schedule.
 	MembershipDigest string `json:"membership_digest"`
+}
+
+// ScheduleResult is the deterministic payload of a schedule response: a
+// pure function of the request, cached and served byte-identically to every
+// requester of the same semantic content.
+type ScheduleResult struct {
+	resultHeader
 
 	Algorithm string         `json:"algorithm"`
 	Transfers int            `json:"transfers"`
@@ -352,17 +334,19 @@ func computeScheduleResult(ce *clusterEntry, r resolved) (*scheduleEntry, error)
 		return nil, err
 	}
 	result := ScheduleResult{
-		Model:             ce.c.Config.Model.Name,
-		Mode:              r.mode,
-		Workers:           ce.c.Config.Workers,
-		PS:                ce.c.Config.PS,
-		Env:               r.env,
-		Policy:            r.policy,
-		Seed:              r.seed,
-		GraphDigest:       ce.graphDigest,
-		PlatformDigest:    ce.platformDigest,
-		ScheduleDigest:    core.ScheduleDigest(sc),
-		MembershipDigest:  r.membershipDigest,
+		resultHeader: resultHeader{
+			Model:            ce.c.Config.Model.Name,
+			Mode:             r.mode,
+			Workers:          ce.c.Config.Workers,
+			PS:               ce.c.Config.PS,
+			Env:              r.env,
+			Policy:           r.policy,
+			Seed:             r.seed,
+			GraphDigest:      ce.graphDigest,
+			PlatformDigest:   ce.platformDigest,
+			ScheduleDigest:   core.ScheduleDigest(sc),
+			MembershipDigest: r.membershipDigest,
+		},
 		Algorithm:         string(core.AlgoNone),
 		Order:             []string{},
 		Rank:              map[string]int{},

@@ -60,7 +60,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // request straight through the library, bypassing the service entirely.
 func directScheduleResult(t *testing.T, req ScheduleRequest) []byte {
 	t.Helper()
-	res, err := req.resolve()
+	res, err := req.Workload.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func compactResult(t *testing.T, payload []byte) []byte {
 
 func TestScheduleEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	req := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 2, PS: 1, Seed: 1}}
+	req := ScheduleRequest{Workload: &WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 2, PS: 1, Seed: 1}}
 
 	resp, payload := post(t, ts.URL+"/v1/schedule", req)
 	if resp.StatusCode != http.StatusOK {
@@ -148,8 +148,8 @@ func TestScheduleDigestKeyUnifiesEquivalentRequests(t *testing.T) {
 	// batch_factor 0 and 1 resolve to the same batch; iterations 0 and 1 to
 	// the same graph. Digest keying must land them in one cache slot.
 	svc, ts := newTestServer(t, Options{})
-	a := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Seed: 1}}
-	b := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Seed: 1, BatchFactor: 1, Iterations: 1}}
+	a := ScheduleRequest{Workload: &WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Seed: 1}}
+	b := ScheduleRequest{Workload: &WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Seed: 1, BatchFactor: 1, Iterations: 1}}
 	post(t, ts.URL+"/v1/schedule", a)
 	_, payloadB := post(t, ts.URL+"/v1/schedule", b)
 	var sr ScheduleResponse
@@ -176,15 +176,16 @@ func TestScheduleValidation(t *testing.T) {
 		body string
 		code string
 	}{
-		{"unknown model", `{"model": "NoSuchNet"}`, CodeUnknownModel},
-		{"unknown policy", `{"model": "AlexNet v2", "policy": "quantum"}`, CodeUnknownPolicy},
-		{"unknown mode", `{"model": "AlexNet v2", "mode": "dreaming"}`, CodeUnknownMode},
-		{"unknown env", `{"model": "AlexNet v2", "env": "envZ"}`, CodeUnknownEnv},
-		{"negative workers", `{"model": "AlexNet v2", "workers": -1}`, CodeBadRequest},
-		{"oversized cluster", `{"model": "AlexNet v2", "workers": 10000}`, CodeBadRequest},
-		{"unknown field", `{"model": "AlexNet v2", "wrokers": 2}`, CodeBadRequest},
-		{"malformed json", `{"model": `, CodeBadRequest},
-		{"mixed envelope and flat", `{"workload": {"model": "AlexNet v2"}, "model": "AlexNet v2"}`, CodeBadRequest},
+		{"unknown model", `{"workload": {"model": "NoSuchNet"}}`, CodeUnknownModel},
+		{"unknown policy", `{"workload": {"model": "AlexNet v2", "policy": "quantum"}}`, CodeUnknownPolicy},
+		{"unknown mode", `{"workload": {"model": "AlexNet v2", "mode": "dreaming"}}`, CodeUnknownMode},
+		{"unknown env", `{"workload": {"model": "AlexNet v2", "env": "envZ"}}`, CodeUnknownEnv},
+		{"negative workers", `{"workload": {"model": "AlexNet v2", "workers": -1}}`, CodeBadRequest},
+		{"oversized cluster", `{"workload": {"model": "AlexNet v2", "workers": 10000}}`, CodeBadRequest},
+		{"unknown field", `{"workload": {"model": "AlexNet v2", "wrokers": 2}}`, CodeBadRequest},
+		{"malformed json", `{"workload": `, CodeBadRequest},
+		{"flat layout", `{"model": "AlexNet v2"}`, CodeBadRequest},
+		{"empty body object", `{}`, CodeUnknownModel},
 		{"bad override key", `{"workload": {"model": "AlexNet v2", "overrides": {"devices": {"worker:99": {"slow_compute": 2}}}}}`, CodeBadRequest},
 	}
 	for _, tc := range cases {
@@ -239,48 +240,14 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
-// The pre-envelope flat request layout and the canonical workload envelope
-// must resolve to byte-identical responses.
-func TestLegacyFlatRequestCompatibility(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	flat := `{"model": "AlexNet v2", "policy": "tic", "workers": 2, "ps": 1, "seed": 3}`
-	envelope := `{"workload": {"model": "AlexNet v2", "policy": "tic", "workers": 2, "ps": 1, "seed": 3}}`
-
-	respA, payloadA := post(t, ts.URL+"/v1/schedule", json.RawMessage(flat))
-	respB, payloadB := post(t, ts.URL+"/v1/schedule", json.RawMessage(envelope))
-	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
-		t.Fatalf("status %d / %d: %s %s", respA.StatusCode, respB.StatusCode, payloadA, payloadB)
-	}
-	if !bytes.Equal(compactResult(t, payloadA), compactResult(t, payloadB)) {
-		t.Error("flat and envelope forms returned different results")
-	}
-
-	// Same equivalence on /v1/simulate, protocol knobs included.
-	flatSim := `{"model": "AlexNet v2", "workers": 2, "measure_iterations": 3, "jitter": 0.05, "seed": 9}`
-	envSim := `{"workload": {"model": "AlexNet v2", "workers": 2, "measure_iterations": 3, "jitter": 0.05, "seed": 9}}`
-	_, simA := post(t, ts.URL+"/v1/simulate", json.RawMessage(flatSim))
-	_, simB := post(t, ts.URL+"/v1/simulate", json.RawMessage(envSim))
-	var a, b SimulateResponse
-	if err := json.Unmarshal(simA, &a); err != nil {
-		t.Fatalf("decode %s: %v", simA, err)
-	}
-	if err := json.Unmarshal(simB, &b); err != nil {
-		t.Fatalf("decode %s: %v", simB, err)
-	}
-	ab, _ := json.Marshal(a.Result)
-	bb, _ := json.Marshal(b.Result)
-	if !bytes.Equal(ab, bb) {
-		t.Errorf("flat and envelope simulate results differ:\n%s\n%s", ab, bb)
-	}
-}
-
 func TestSimulateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	req := SimulateRequest{WorkloadSpec: WorkloadSpec{
+	spec := WorkloadSpec{
 		Model: "AlexNet v2", Policy: "tic", Workers: 2, Seed: 7,
 		WarmupIterations:  1,
 		MeasureIterations: 3,
-	}}
+	}
+	req := ScheduleRequest{Workload: &spec}
 	resp, payload := post(t, ts.URL+"/v1/simulate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, payload)
@@ -317,9 +284,9 @@ func TestSimulateEndpoint(t *testing.T) {
 
 	// Baseline (none) must differ from tic in schedule digest and carry no
 	// order.
-	base := req
+	base := spec
 	base.Policy = "none"
-	_, payload3 := post(t, ts.URL+"/v1/simulate", base)
+	_, payload3 := post(t, ts.URL+"/v1/simulate", ScheduleRequest{Workload: &base})
 	var sim3 SimulateResponse
 	if err := json.Unmarshal(payload3, &sim3); err != nil {
 		t.Fatal(err)
@@ -359,7 +326,7 @@ func TestPoliciesHealthzMetrics(t *testing.T) {
 	}
 
 	// Drive one schedule request, then check the metrics reflect it.
-	post(t, ts.URL+"/v1/schedule", ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2"}})
+	post(t, ts.URL+"/v1/schedule", ScheduleRequest{Workload: &WorkloadSpec{Model: "AlexNet v2"}})
 	resp, payload = get(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
@@ -391,7 +358,7 @@ func TestMetricsEvictionCounters(t *testing.T) {
 	for _, policy := range []string{"tic", "critical-path", "fifo", "random"} {
 		for seed := int64(1); seed <= 2; seed++ {
 			resp, payload := post(t, ts.URL+"/v1/schedule",
-				ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: policy, Seed: seed}})
+				ScheduleRequest{Workload: &WorkloadSpec{Model: "AlexNet v2", Policy: policy, Seed: seed}})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("schedule %s/%d: %d %s", policy, seed, resp.StatusCode, payload)
 			}
@@ -441,11 +408,11 @@ func TestConcurrentCoalescing(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	hot := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 2, PS: 1, Seed: 1}}
+	hot := ScheduleRequest{Workload: &WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 2, PS: 1, Seed: 1}}
 	cold := []ScheduleRequest{
-		{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "critical-path", Workers: 2, PS: 1, Seed: 1}},
-		{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 3, PS: 1, Seed: 1}},
-		{WorkloadSpec: WorkloadSpec{Model: "Inception v1", Policy: "tic", Workers: 2, PS: 1, Seed: 1}},
+		{Workload: &WorkloadSpec{Model: "AlexNet v2", Policy: "critical-path", Workers: 2, PS: 1, Seed: 1}},
+		{Workload: &WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 3, PS: 1, Seed: 1}},
+		{Workload: &WorkloadSpec{Model: "Inception v1", Policy: "tic", Workers: 2, PS: 1, Seed: 1}},
 	}
 	expected := map[string][]byte{}
 	for _, r := range append([]ScheduleRequest{hot}, cold...) {
@@ -521,7 +488,7 @@ func TestConcurrentCoalescing(t *testing.T) {
 }
 
 func requestLabel(r ScheduleRequest) string {
-	return fmt.Sprintf("%s/%s/w%d", r.Model, r.Policy, r.Workers)
+	return fmt.Sprintf("%s/%s/w%d", r.Workload.Model, r.Workload.Policy, r.Workload.Workers)
 }
 
 // TestNewPanicsOnUnknownCachePolicy pins the documented New contract:

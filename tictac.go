@@ -134,10 +134,9 @@ type (
 	// ServiceWorkloadSpec is the unified workload envelope every POST
 	// endpoint resolves through (model, platform, policy, sim knobs).
 	ServiceWorkloadSpec = service.WorkloadSpec
-	// ServiceScheduleRequest is the body of POST /v1/schedule.
+	// ServiceScheduleRequest is the body of POST /v1/schedule and
+	// POST /v1/simulate.
 	ServiceScheduleRequest = service.ScheduleRequest
-	// ServiceSimulateRequest is the body of POST /v1/simulate.
-	ServiceSimulateRequest = service.SimulateRequest
 	// ServiceBatchRequest is the body of POST /v1/batch: one base workload
 	// plus what-if variants expressed as deltas on it.
 	ServiceBatchRequest = service.BatchRequest
