@@ -109,6 +109,15 @@ var mutations = []mutation{
 		want:     "EvictionPolicy.Touch",
 	},
 	{
+		name:     "lockdiscipline/dropping-lock-in-compiled-memo",
+		pattern:  "tictac/internal/core",
+		file:     "internal/core/schedule.go",
+		old:      "\ts.compileMu.Lock()\n\tdefer s.compileMu.Unlock()\n",
+		new:      "",
+		analyzer: "lockdiscipline",
+		want:     "compileMu is not held",
+	},
+	{
 		name:     "errcode/literal-code-string",
 		pattern:  "tictac/internal/service",
 		file:     "internal/service/http.go",

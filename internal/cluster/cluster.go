@@ -7,6 +7,11 @@
 // per parameter (variable/read for serving, aggregate/update for training).
 // Transfers between a worker and a PS share one serialized channel resource,
 // matching gRPC's one-channel-per-worker-PS-pair behaviour (§5.1).
+//
+// A simulated iteration costs only the simulation: each Cluster tabulates
+// its cost model once (timing.Table), runs every iteration through one
+// shared sim.Runner, and Run refills one pooled sim.Result across the
+// warmup and measured iterations.
 package cluster
 
 import (
@@ -150,9 +155,11 @@ func (c Config) knownChannel(res string) bool {
 // concurrent goroutines — the parallel bench engine relies on this for the
 // repeated-run experiments (Figure 12, unique orders). The simulation hot
 // path goes through one lazily-built, concurrency-safe sim.Runner per
-// Cluster (the Runner recycles per-run buffers and compiled schedules
-// across the warmup+measure protocol), plus a cached reference-worker index
-// for the efficiency metric. ChainRecvsByOrder clones before mutating.
+// graph (the Runner recycles per-run buffers; each schedule memoizes its
+// own compiled table), a per-op cost table tabulated once from the cost
+// model, and a cached reference-worker partition that both the efficiency
+// metric and ComputeSchedule read. ChainRecvsByOrder clones before
+// mutating.
 type Cluster struct {
 	Config Config
 	// Graph is the full multi-device DAG executed each iteration.
@@ -167,9 +174,16 @@ type Cluster struct {
 	runner     *sim.Runner
 	runnerErr  error
 
+	// costs is the cost model tabulated over Graph (a timing.Table, boxed
+	// once), built on first use. A cluster derived by WithPlatforms has
+	// another cost model and builds its own.
+	costsOnce sync.Once
+	costs     timing.Oracle
+
 	// effRef/effToRef are the cached reference-worker partition and the
 	// full-graph op ID → reference op ID mapping (-1 = not a first-
-	// iteration worker-0 op) used by the per-iteration efficiency metric.
+	// iteration worker-0 op) used by the per-iteration efficiency metric
+	// and, read-only, by ComputeSchedule.
 	effOnce  sync.Once
 	effRef   *graph.Graph
 	effToRef []int32
@@ -182,6 +196,15 @@ func (c *Cluster) simRunner() (*sim.Runner, error) {
 		c.runner, c.runnerErr = sim.NewRunner(c.Graph)
 	})
 	return c.runner, c.runnerErr
+}
+
+// costTable returns the cluster's cost oracle tabulated over Graph,
+// building it on first use. It holds exactly oracle()'s values.
+func (c *Cluster) costTable() timing.Oracle {
+	c.costsOnce.Do(func() {
+		c.costs = timing.Tabulate(c.Graph, c.oracle())
+	})
+	return c.costs
 }
 
 // effIndex returns the cached reference-worker partition and the dense
@@ -371,12 +394,13 @@ func Build(cfg Config) (*Cluster, error) {
 // WithPlatforms returns a cluster identical to c except for its cost model:
 // the given base platform plus optional heterogeneous overrides. The graph,
 // parameter sharding and per-graph simulator precomputation (the shared
-// sim.Runner and the efficiency index) are shared with c rather than
+// sim.Runner and the reference-worker index) are shared with c rather than
 // rebuilt — platforms never change topology, only per-op costs, which the
-// simulator resolves per run. The returned cluster is bit-identical in
-// every output to a fresh Build of the same configuration (regression-
-// tested), at none of the graph-construction cost; the batched what-if API
-// leans on this to amortize one graph across many platform variants.
+// derived cluster tabulates for itself on first use. The returned cluster
+// is bit-identical in every output to a fresh Build of the same
+// configuration (regression-tested), at none of the graph-construction
+// cost; the batched what-if API leans on this to amortize one graph across
+// many platform variants.
 //
 // The receiver and the result are both read-only after this call and may be
 // used concurrently, like any built Cluster.
@@ -538,18 +562,21 @@ func (c *Cluster) ComputeSchedule(policy string, warmupIters int, seed int64) (*
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	// Policies only read the partition, so the cached one serves every
+	// call, concurrent ones included.
+	ref, _ := c.effIndex()
 	if oo, ok := p.(sched.OracleOrderer); ok {
 		oracle, err := c.TraceOracle(warmupIters, seed, timing.EstimateMin)
 		if err != nil {
 			return nil, err
 		}
-		return oo.OrderWithOracle(c.ReferenceWorker(), oracle)
+		return oo.OrderWithOracle(ref, oracle)
 	}
 	plat := c.Config.Platform
 	if c.Config.Platforms != nil {
 		plat = c.Config.Platforms.For(WorkerDevice(0))
 	}
-	return p.Order(c.ReferenceWorker(), &plat)
+	return p.Order(ref, &plat)
 }
 
 // TraceRuns runs warmup baseline iterations with the tracing module
@@ -565,13 +592,15 @@ func (c *Cluster) TraceRuns(warmupIters int, seed int64) (*timing.Tracer, error)
 		return nil, err
 	}
 	tracer := timing.NewTracer()
+	res := resultPool.Get().(*sim.Result)
+	defer resultPool.Put(res)
 	for i := 0; i < warmupIters; i++ {
-		_, err := runner.Run(sim.Config{
-			Oracle: c.oracle(),
+		err := runner.RunInto(sim.Config{
+			Oracle: c.costTable(),
 			Seed:   seed + int64(i),
 			Jitter: c.Config.Platform.Jitter,
 			Tracer: tracer,
-		})
+		}, res)
 		if err != nil {
 			return nil, err
 		}
@@ -583,7 +612,9 @@ func (c *Cluster) TraceRuns(warmupIters int, seed int64) (*timing.Tracer, error)
 // by reference-worker op names. kind selects the reduction (the paper uses
 // min of 5 runs).
 func (c *Cluster) OracleFromTrace(tracer *timing.Tracer, kind timing.EstimateKind) timing.Oracle {
-	// Trace names carry the worker prefix; rekey to reference names.
+	// Trace names carry the worker prefix; rekey to reference names. The
+	// fallback must be the cost model itself, not costTable: the probes
+	// are reference-partition ops, whose IDs do not index Graph.
 	est := tracer.Estimator(kind, c.oracle())
 	return timing.OracleFunc(func(op *graph.Op) float64 {
 		probe := *op

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"tictac/internal/core"
 	"tictac/internal/graph"
@@ -180,8 +181,27 @@ func (c *Cluster) costScale(opts RunOptions) func(op *graph.Op) float64 {
 	}
 }
 
+// resultPool recycles simulator Results across RunIteration, Run and
+// TraceRuns calls. A Result's Spans backing holds one entry per op, which
+// is most of what a simulated iteration would otherwise allocate.
+var resultPool = sync.Pool{New: func() any { return new(sim.Result) }}
+
+// measuredPool recycles iterationEfficiency's per-op duration tables, one
+// of which every simulated iteration would otherwise allocate (its measured
+// effect is in docs/performance.md, "Cluster and bench reuse").
+var measuredPool = sync.Pool{New: func() any { return new(timing.Table) }}
+
 // RunIteration simulates one synchronized iteration.
 func (c *Cluster) RunIteration(opts RunOptions) (*Iteration, error) {
+	res := resultPool.Get().(*sim.Result)
+	defer resultPool.Put(res)
+	return c.runIteration(opts, res)
+}
+
+// runIteration is RunIteration writing every simulator run into res. The
+// returned Iteration shares nothing with res: its recv order is the run's
+// fresh key backing, and everything else is copied out.
+func (c *Cluster) runIteration(opts RunOptions, res *sim.Result) (*Iteration, error) {
 	for _, s := range opts.Stragglers {
 		if s.Worker < 0 || s.Worker >= c.Config.Workers {
 			return nil, fmt.Errorf("cluster: straggler worker %d out of range [0, %d)", s.Worker, c.Config.Workers)
@@ -204,22 +224,22 @@ func (c *Cluster) RunIteration(opts RunOptions) (*Iteration, error) {
 		return nil, err
 	}
 	if tl == nil || tl.Empty() {
-		return c.runPlainIteration(opts, jitter, runner)
+		return c.runPlainIteration(opts, jitter, runner, res)
 	}
-	return c.runChurnIteration(opts, tl, jitter, runner)
+	return c.runChurnIteration(opts, tl, jitter, runner, res)
 }
 
 // runPlainIteration is the churn-free fast path: exactly the pre-membership
 // code, bit-identical in every float.
-func (c *Cluster) runPlainIteration(opts RunOptions, jitter float64, runner *sim.Runner) (*Iteration, error) {
-	res, err := runner.Run(sim.Config{
-		Oracle:      c.oracle(),
+func (c *Cluster) runPlainIteration(opts RunOptions, jitter float64, runner *sim.Runner, res *sim.Result) (*Iteration, error) {
+	err := runner.RunInto(sim.Config{
+		Oracle:      c.costTable(),
 		Schedule:    opts.Schedule,
 		Seed:        opts.Seed,
 		Jitter:      jitter,
 		ReorderProb: opts.ReorderProb,
 		CostScale:   c.costScale(opts),
-	})
+	}, res)
 	if err != nil {
 		return nil, err
 	}
@@ -272,25 +292,27 @@ func (c *Cluster) shardReload(ps int, bytes int64) float64 {
 // fleet at the iteration's own seed, re-fetching parameters through its
 // recv ops. PS shard failures and recoveries add the shard's reload time.
 // Makespan is the sum of that recovery overhead and the reported run.
-func (c *Cluster) runChurnIteration(opts RunOptions, tl *Timeline, jitter float64, runner *sim.Runner) (*Iteration, error) {
+func (c *Cluster) runChurnIteration(opts RunOptions, tl *Timeline, jitter float64, runner *sim.Runner, res *sim.Result) (*Iteration, error) {
 	st := tl.stateAt(opts.Iteration)
 
 	recovery := 0.0
 	var abortedMakespan float64
 	if st.preActive != nil {
-		probe, err := runner.Run(sim.Config{
-			Oracle:      c.oracle(),
+		// The aborted attempt only contributes its makespan, so it borrows
+		// res before the reported run refills it.
+		err := runner.RunInto(sim.Config{
+			Oracle:      c.costTable(),
 			Schedule:    opts.Schedule,
 			Seed:        abortSeed(opts.Seed),
 			Jitter:      jitter,
 			ReorderProb: opts.ReorderProb,
 			CostScale:   c.eventCostScale(opts, st.preDegraded),
 			Disabled:    c.membershipMask(st.preActive),
-		})
+		}, res)
 		if err != nil {
 			return nil, err
 		}
-		abortedMakespan = probe.Makespan
+		abortedMakespan = res.Makespan
 		maxPoint := 0.0
 		for _, e := range st.eventsHere {
 			if (e.Kind == WorkerFail || e.Kind == PSShardFail) && e.failPoint() > maxPoint {
@@ -333,15 +355,15 @@ func (c *Cluster) runChurnIteration(opts RunOptions, tl *Timeline, jitter float6
 		events = append(events, out)
 	}
 
-	res, err := runner.Run(sim.Config{
-		Oracle:      c.oracle(),
+	err := runner.RunInto(sim.Config{
+		Oracle:      c.costTable(),
 		Schedule:    opts.Schedule,
 		Seed:        opts.Seed,
 		Jitter:      jitter,
 		ReorderProb: opts.ReorderProb,
 		CostScale:   c.eventCostScale(opts, st.degraded),
 		Disabled:    c.membershipMask(st.active),
-	})
+	}, res)
 	if err != nil {
 		return nil, err
 	}
@@ -382,10 +404,17 @@ func (c *Cluster) runChurnIteration(opts RunOptions, tl *Timeline, jitter float6
 // iteration, we measure runtime of each op as well as the makespan of that
 // iteration and then calculate the bounds"). Durations are indexed by the
 // reference partition's op IDs through the Cluster's cached mapping — no
-// per-iteration graph rebuild and no string trimming in the loop.
+// per-iteration graph rebuild and no string trimming in the loop — and the
+// duration table itself is recycled across iterations.
 func (c *Cluster) iterationEfficiency(res *sim.Result) float64 {
 	ref, toRef := c.effIndex()
-	measured := make([]float64, ref.Len())
+	buf := measuredPool.Get().(*timing.Table)
+	defer measuredPool.Put(buf)
+	if cap(*buf) < ref.Len() {
+		*buf = make(timing.Table, ref.Len())
+	}
+	measured := (*buf)[:ref.Len()]
+	clear(measured) // ops without a span (masked) measure zero
 	var start, end float64
 	first := true
 	for _, sp := range res.Spans {
@@ -402,8 +431,7 @@ func (c *Cluster) iterationEfficiency(res *sim.Result) float64 {
 			end = sp.End
 		}
 	}
-	oracle := timing.OracleFunc(func(op *graph.Op) float64 { return measured[op.ID] })
-	return core.Efficiency(ref, oracle, end-start)
+	return core.Efficiency(ref, measured, end-start)
 }
 
 // Experiment mirrors the paper's measurement protocol (§6): discard warmup
@@ -464,12 +492,15 @@ func (c *Cluster) Run(exp Experiment, opts RunOptions) (*Outcome, error) {
 	effs := make([]float64, 0, exp.Measure)
 	orders := make(map[string]bool, exp.Measure)
 	batch := c.Config.batch()
+	// One Result serves every iteration: its spans are refilled in place.
+	res := resultPool.Get().(*sim.Result)
+	defer resultPool.Put(res)
 	for i := 0; i < exp.Warmup+exp.Measure; i++ {
 		iterOpts := opts
 		iterOpts.Seed = opts.Seed + int64(i)*7919 // distinct per-iteration stream
 		iterOpts.Iteration = i                    // straggler/contention/membership windows index off this
 		iterOpts.timeline = tl
-		it, err := c.RunIteration(iterOpts)
+		it, err := c.runIteration(iterOpts, res)
 		if err != nil {
 			return nil, err
 		}

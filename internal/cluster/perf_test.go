@@ -5,7 +5,9 @@ package cluster
 // the BenchmarkClusterRun microbenchmark behind `make perf`.
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"tictac/internal/core"
@@ -149,6 +151,99 @@ func TestRunIterationParityWithFrozenSim(t *testing.T) {
 		if want := refIterationEfficiency(c, res); math.Float64bits(it.Efficiency) != math.Float64bits(want) {
 			t.Fatalf("seed %d: efficiency %v != %v", seed, it.Efficiency, want)
 		}
+	}
+}
+
+// TestRunRecvOrdersMatchFreshIterations: Run refills one pooled Result
+// across its iterations, but every reported iteration's recv order must be
+// exactly what a fresh RunIteration at that iteration's seed and index
+// returns, and no two iterations may share a backing array — on the plain
+// path and under a mid-run worker failure (the churn path, which runs the
+// aborted attempt through the same Result first).
+func TestRunRecvOrdersMatchFreshIterations(t *testing.T) {
+	spec, _ := model.ByName("AlexNet v2")
+	c, err := Build(Config{Model: spec, Mode: model.Training, Workers: 3, PS: 2, Platform: timing.EnvG()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.ComputeSchedule("tic", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := Experiment{Warmup: 2, Measure: 5}
+	for _, tc := range []struct {
+		label  string
+		events []MembershipEvent
+	}{
+		{"plain", nil},
+		{"churn", []MembershipEvent{{Kind: WorkerFail, Worker: 2, Iteration: 3}, {Kind: WorkerJoin, Worker: 2, Iteration: 5}}},
+	} {
+		opts := RunOptions{Schedule: s, Seed: 9, Jitter: -1, ReorderProb: 0.05, Events: tc.events}
+		out, err := c.Run(exp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, it := range out.Iterations {
+			i := exp.Warmup + k
+			fresh := opts
+			fresh.Seed = opts.Seed + int64(i)*7919
+			fresh.Iteration = i
+			want, err := c.RunIteration(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(it.RecvOrder) == 0 || !slices.Equal(it.RecvOrder, want.RecvOrder) {
+				t.Fatalf("%s: iteration %d recv order differs from a fresh RunIteration", tc.label, i)
+			}
+		}
+		// Stamp each iteration's first key; a shared backing would let a
+		// later stamp overwrite an earlier one.
+		for k := range out.Iterations {
+			out.Iterations[k].RecvOrder[0] = fmt.Sprint("stamp-", k)
+		}
+		for k, it := range out.Iterations {
+			if got := it.RecvOrder[0]; got != fmt.Sprint("stamp-", k) {
+				t.Fatalf("%s: iteration %d shares its recv-order backing (reads %q)", tc.label, k, got)
+			}
+		}
+	}
+}
+
+// TestRunAllocsPerExperiment pins Run's allocations for the benchmark
+// configuration (AlexNet v2, 4 workers, TIC, 2 warmup + 10 measured
+// iterations). Spans are no longer reallocated per iteration: one pooled
+// sim.Result is refilled by all twelve runs, the cost model is a table
+// built once per cluster and the efficiency metric's duration table is
+// pooled too. What is left is per-iteration bookkeeping — the Iteration,
+// its worker finishes, the run's recv-order keys, the bounds map. Measured
+// at 138; a fresh duration table per iteration measured 150 and a fresh
+// Result per run 234.
+func TestRunAllocsPerExperiment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	spec, _ := model.ByName("AlexNet v2")
+	c, err := Build(Config{Model: spec, Mode: model.Training, Workers: 4, PS: 1, Platform: timing.EnvG()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.ComputeSchedule("tic", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := Experiment{Warmup: 2, Measure: 10}
+	opts := RunOptions{Schedule: s, Seed: 1, Jitter: -1}
+	if _, err := c.Run(exp, opts); err != nil { // warm the pools and the memo
+		t.Fatal(err)
+	}
+	const budget = 138
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.Run(exp, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("Run allocates %.0f objects per experiment, want <= %d", allocs, budget)
 	}
 }
 

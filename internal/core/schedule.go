@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"weak"
 
 	"tictac/internal/graph"
 	"tictac/internal/timing"
@@ -47,6 +48,13 @@ type Schedule struct {
 
 	posOnce  sync.Once
 	posCache map[string]int
+
+	// compiled memoizes Compile per graph for the simulator (see
+	// CompiledFor). Keys are weak, so a schedule never keeps a graph
+	// alive; the tables live exactly as long as the schedule does.
+	compileMu sync.Mutex
+	//tictac:guardedby compileMu
+	compiled map[weak.Pointer[graph.Graph]][]int32
 }
 
 // Key returns the transfer key used by schedules for the given op.
@@ -103,6 +111,38 @@ func (s *Schedule) Compile(g *graph.Graph) []int32 {
 			pos[op.ID] = int32(p)
 		}
 	}
+	return pos
+}
+
+// CompiledFor returns Compile(g), memoized on the schedule: the first call
+// per graph compiles, later calls return the same table. The table is
+// shared and must not be mutated, and g must not change after the first
+// call, so it is meant for graphs that are frozen: sim.Runner, whose view
+// of its graph is fixed when it is built, is the caller. This is how the
+// simulator pays compilation once per (schedule, graph) across the
+// warmup+measure protocol: the memo belongs to the schedule, so it is
+// freed with it, and a long-lived simulator pins no schedule it has run.
+// Safe for concurrent use; a nil schedule compiles afresh on every call.
+func (s *Schedule) CompiledFor(g *graph.Graph) []int32 {
+	if s == nil {
+		return s.Compile(g)
+	}
+	key := weak.Make(g)
+	s.compileMu.Lock()
+	defer s.compileMu.Unlock()
+	if pos, ok := s.compiled[key]; ok {
+		return pos
+	}
+	if s.compiled == nil {
+		s.compiled = make(map[weak.Pointer[graph.Graph]][]int32, 1)
+	}
+	for k := range s.compiled {
+		if k.Value() == nil {
+			delete(s.compiled, k) // the graph is gone; so is any use of its table
+		}
+	}
+	pos := s.Compile(g)
+	s.compiled[key] = pos
 	return pos
 }
 

@@ -78,6 +78,36 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRunIntoSteadyStateAllocs pins RunInto's contract: refilling a warmed
+// Result reuses its Spans backing and both maps, so a steady-state run
+// allocates at most one object — the recv-order key backing, which stays
+// fresh per run so earlier orders are never overwritten. It holds for the
+// cost model called per op and for the same model tabulated.
+func TestRunIntoSteadyStateAllocs(t *testing.T) {
+	c, cfg := benchCluster(t, "AlexNet v2")
+	r, err := sim.NewRunner(c.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oracle := range []timing.Oracle{cfg.Oracle, timing.Tabulate(c.Graph, cfg.Oracle)} {
+		cfg.Oracle = oracle
+		var res sim.Result
+		if err := r.RunInto(cfg, &res); err != nil { // warm up buffers
+			t.Fatal(err)
+		}
+		const recvBackingOnly = 1
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := r.RunInto(cfg, &res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > recvBackingOnly {
+			t.Fatalf("steady-state RunInto (%T) allocates %.1f objects/run, want <= %d (recv-key backing only)",
+				oracle, allocs, recvBackingOnly)
+		}
+	}
+}
+
 // TestRunnerSteadyStateAllocsBaseline covers the unscheduled path too (no
 // compiled table, pure random picks).
 func TestRunnerSteadyStateAllocsBaseline(t *testing.T) {

@@ -16,16 +16,18 @@ import (
 // NewRunner precomputes everything about the graph that the old one-shot
 // Run derived on every call — the sorted resource index, a flat successor
 // adjacency (CSR), per-op resource/device indices, transfer keys and
-// recv/transfer flags — and Run reuses the per-run mutable state (indegree,
-// ready queues, busy flags, event heap, RNG) across calls. A steady-state
-// Run therefore performs no heap allocations beyond the returned Result,
-// and its inner loop indexes dense int32 tables instead of hashing strings.
+// recv/transfer flags — and every run reuses the per-run mutable state
+// (indegree, ready queues, busy flags, event heap, RNG) across calls.
+// RunInto also refills a caller-owned Result in place, so a steady-state
+// RunInto allocates only the recv-order key backing it hands out, and its
+// inner loop indexes dense int32 tables instead of hashing strings.
 //
-// Schedules are consumed in compiled form (core.Schedule.Compile); Run
-// memoizes one compiled table per distinct *core.Schedule, so the
-// warmup+measure protocol pays the compilation once.
+// Schedules are consumed in compiled form through the schedule's own memo
+// (core.Schedule.CompiledFor), so the warmup+measure protocol pays the
+// compilation once and the Runner itself holds no reference to any
+// schedule it has run.
 //
-// A Runner is safe for concurrent use: each Run borrows an exclusive state
+// A Runner is safe for concurrent use: each run borrows an exclusive state
 // (a lock-free primary slot backed by a sync.Pool for concurrent overflow),
 // so any number of goroutines may execute the same Runner — the parallel
 // bench engine's repeated-run experiments rely on this. Results are
@@ -52,9 +54,6 @@ type Runner struct {
 	nRecvDevs  int // devices hosting at least one recv op
 
 	noSchedule []int32 // the nil schedule compiled: all -1
-
-	mu       sync.RWMutex
-	compiled map[*core.Schedule][]int32
 
 	// prime is the fast-path reusable state: single-goroutine callers hit
 	// it deterministically (no GC-emptied pool on the steady-state path);
@@ -97,7 +96,6 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 		isRecv:     make([]bool, n),
 		isTransfer: make([]bool, n),
 		noSchedule: make([]int32, n),
-		compiled:   make(map[*core.Schedule][]int32),
 	}
 	recvDevs := make([]bool, len(devNames))
 	for i, op := range ops {
@@ -132,26 +130,12 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 	return r, nil
 }
 
-// compiledFor returns the memoized compiled table for the schedule.
+// compiledFor returns the schedule's compiled table for this graph.
 func (r *Runner) compiledFor(s *core.Schedule) []int32 {
 	if s == nil {
 		return r.noSchedule
 	}
-	r.mu.RLock()
-	pos, ok := r.compiled[s]
-	r.mu.RUnlock()
-	if ok {
-		return pos
-	}
-	pos = s.Compile(r.g)
-	r.mu.Lock()
-	if prev, ok := r.compiled[s]; ok {
-		pos = prev // lost the build race; keep the first table
-	} else {
-		r.compiled[s] = pos
-	}
-	r.mu.Unlock()
-	return pos
+	return s.CompiledFor(r.g)
 }
 
 // runState is the mutable per-run scratch. One state serves one Run at a
@@ -215,25 +199,47 @@ func (r *Runner) putState(st *runState) {
 	r.statePool.Put(st)
 }
 
-// Run executes the graph once under the given configuration.
+// Run executes the graph once under the given configuration and returns a
+// fresh Result. It is RunInto on a new Result.
+func (r *Runner) Run(cfg Config) (*Result, error) {
+	res := &Result{}
+	if err := r.RunInto(cfg, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// RunInto executes the graph once under the given configuration and writes
+// the outcome into res, reusing its Spans backing and its two maps: res is
+// reset first, so nothing of a previous run survives in it. The recv-order
+// slices are the one part never recycled — each run hands out a fresh key
+// backing, so a RecvStartOrder slice kept from an earlier run stays valid.
+// On error res holds no meaningful result.
 //
 //tictac:hotpath
-func (r *Runner) Run(cfg Config) (*Result, error) {
+func (r *Runner) RunInto(cfg Config, res *Result) error {
 	if cfg.Oracle == nil {
-		return nil, fmt.Errorf("sim: Config.Oracle is required")
+		return fmt.Errorf("sim: Config.Oracle is required")
 	}
-	pos := r.compiledFor(cfg.Schedule)
+	return r.runCompiled(cfg, r.compiledFor(cfg.Schedule), res)
+}
+
+// runCompiled runs under the compiled schedule table pos on a borrowed
+// state.
+//
+//tictac:hotpath
+func (r *Runner) runCompiled(cfg Config, pos []int32, res *Result) error {
 	st := r.getState()
-	res, err := r.run(cfg, pos, st)
+	err := r.run(cfg, pos, st, res)
 	r.putState(st)
-	return res, err
+	return err
 }
 
 // run is the hot path. Everything it touches is either in the precomputed
-// Runner view, the recycled runState, or the freshly allocated Result.
+// Runner view, the recycled runState, or the caller's Result.
 //
 //tictac:hotpath
-func (r *Runner) run(cfg Config, pos []int32, st *runState) (*Result, error) {
+func (r *Runner) run(cfg Config, pos []int32, st *runState, res *Result) error {
 	// Reset recycled state. The RNG is re-seeded in place, which yields
 	// exactly the stream of rand.New(rand.NewSource(seed)).
 	st.rng.Seed(cfg.Seed)
@@ -258,11 +264,7 @@ func (r *Runner) run(cfg Config, pos []int32, st *runState) (*Result, error) {
 	st.seq = 0
 	st.reorders = 0
 
-	res := &Result{
-		Spans:          make([]Span, 0, len(r.ops)),
-		RecvStartOrder: make(map[string][]string, r.nRecvDevs),
-		DeviceFinish:   make(map[string]float64, len(r.devNames)),
-	}
+	res.reset(len(r.ops), r.nRecvDevs, len(r.devNames))
 
 	for ri := range r.resNames {
 		r.dispatch(st, int32(ri))
@@ -300,7 +302,7 @@ func (r *Runner) run(cfg Config, pos []int32, st *runState) (*Result, error) {
 		}
 	}
 	if completed != len(r.ops) {
-		return nil, fmt.Errorf("sim: deadlock, completed %d of %d ops", completed, len(r.ops))
+		return fmt.Errorf("sim: deadlock, completed %d of %d ops", completed, len(r.ops))
 	}
 
 	res.Makespan = st.now
@@ -324,7 +326,7 @@ func (r *Runner) run(cfg Config, pos []int32, st *runState) (*Result, error) {
 			res.DeviceFinish[r.devNames[di]] = finish
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // addCand inserts a resource index into the sorted unique candidate list.

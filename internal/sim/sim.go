@@ -16,10 +16,11 @@
 //   - Run is the one-shot convenience API: it builds a Runner and executes
 //     once. Cost: the per-graph precomputation is repeated on every call.
 //   - Runner is the reusable executor: NewRunner precomputes the graph view
-//     (resource index, flat adjacency, transfer keys) once, and Runner.Run
-//     reuses all per-run buffers, so steady-state runs allocate nothing
-//     beyond the returned Result. The cluster layer and the bench engine's
-//     repeated-run experiments use this path.
+//     (resource index, flat adjacency, transfer keys) once, and every run
+//     reuses all per-run buffers. Runner.Run returns a fresh Result;
+//     Runner.RunInto refills a caller's Result in place, so a steady-state
+//     run allocates only the recv-order keys it hands out. The cluster
+//     layer and the bench engine's repeated-run experiments use this path.
 //
 // Both paths are bit-identical: same RNG draw sequence, same floating-point
 // arithmetic, same results (see internal/sim/simref and the parity tests).
@@ -37,7 +38,7 @@ import (
 // Config controls one simulated execution.
 type Config struct {
 	// Oracle supplies ground-truth op durations (typically
-	// Platform.Oracle()). Required.
+	// Platform.Oracle(), or a timing.Table tabulated from it). Required.
 	Oracle timing.Oracle
 	// Schedule, when non-nil, enforces transfer priorities on network
 	// channels. Any internal/sched policy (tic, tac, random, ...) produces
@@ -100,11 +101,33 @@ type Result struct {
 	ReorderEvents int
 }
 
+// reset empties the result for a run over nOps ops, keeping the Spans
+// backing and both maps when they are already there.
+func (r *Result) reset(nOps, nRecvDevs, nDevs int) {
+	r.Makespan, r.ReorderEvents = 0, 0
+	if cap(r.Spans) < nOps {
+		r.Spans = make([]Span, 0, nOps)
+	} else {
+		r.Spans = r.Spans[:0]
+	}
+	if r.RecvStartOrder == nil {
+		r.RecvStartOrder = make(map[string][]string, nRecvDevs)
+	} else {
+		clear(r.RecvStartOrder)
+	}
+	if r.DeviceFinish == nil {
+		r.DeviceFinish = make(map[string]float64, nDevs)
+	} else {
+		clear(r.DeviceFinish)
+	}
+}
+
 // Run executes the graph once under the given configuration.
 //
-// It is a thin compatibility wrapper over NewRunner + Runner.Run; callers
+// It is a thin compatibility wrapper over NewRunner and one run; callers
 // that execute the same graph repeatedly should hold a Runner and amortize
-// the per-graph precomputation.
+// the per-graph precomputation. The schedule is compiled afresh on every
+// call rather than through its memo, so g may change between calls.
 func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	if cfg.Oracle == nil {
 		return nil, fmt.Errorf("sim: Config.Oracle is required")
@@ -113,7 +136,11 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(cfg)
+	res := &Result{}
+	if err := r.runCompiled(cfg, cfg.Schedule.Compile(g), res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // RecvCompletionOrder extracts the completion order of recv transfer keys

@@ -21,6 +21,25 @@ type OracleFunc func(op *graph.Op) float64
 // Time implements Oracle.
 func (f OracleFunc) Time(op *graph.Op) float64 { return f(op) }
 
+// Table is an Oracle tabulated over one graph: element i is the duration of
+// the op with ID i. It holds exactly the float64s of the oracle it was built
+// from, so a simulator run on the table instead of that oracle produces
+// bit-identical timelines. A Table answers only for ops of the
+// graph it was built over; Time panics on an op ID outside it.
+type Table []float64
+
+// Tabulate evaluates o once for every op of g.
+func Tabulate(g *graph.Graph, o Oracle) Table {
+	t := make(Table, g.Len())
+	for _, op := range g.Ops() {
+		t[op.ID] = o.Time(op)
+	}
+	return t
+}
+
+// Time implements Oracle.
+func (t Table) Time(op *graph.Op) float64 { return t[op.ID] }
+
 // Platform is a cost model of an execution environment. It plays the role
 // of the authors' testbed hardware: given an op's payload (FLOPs or bytes),
 // it yields the op's dedicated-resource runtime.

@@ -69,6 +69,33 @@ func TestPlatformOracleMatchesCost(t *testing.T) {
 	}
 }
 
+// TestTableMatchesOracle: a tabulated oracle answers with exactly the
+// float64 bits of the oracle it was built from, for every op kind and for
+// a heterogeneous map as well as a plain platform.
+func TestTableMatchesOracle(t *testing.T) {
+	g := graph.New()
+	kinds := []graph.Kind{graph.Compute, graph.Recv, graph.Send, graph.Aggregate, graph.Read, graph.Update, graph.Variable}
+	for i, k := range kinds {
+		op := g.MustAddOp(string(rune('a'+i)), k)
+		op.Device, op.Resource = "worker:0", "worker:0/net:ps:0"
+		op.Bytes, op.FLOPs = int64(1000*(i+1)+7), int64(3e9)*int64(i+1)
+	}
+	pm := NewPlatformMap(EnvG()).
+		SetDevice("worker:0", EnvG().SlowedCompute(3)).
+		SetChannel("worker:0/net:ps:0", ChannelCost{Bandwidth: 1e7})
+	for _, o := range []Oracle{EnvC().Oracle(), pm.Oracle()} {
+		table := Tabulate(g, o)
+		if len(table) != g.Len() {
+			t.Fatalf("table has %d entries for %d ops", len(table), g.Len())
+		}
+		for _, op := range g.Ops() {
+			if math.Float64bits(table.Time(op)) != math.Float64bits(o.Time(op)) {
+				t.Fatalf("%s: table %v != oracle %v", op.Name, table.Time(op), o.Time(op))
+			}
+		}
+	}
+}
+
 func TestTracerRecordAndSamples(t *testing.T) {
 	tr := NewTracer()
 	tr.Record("a", 0.5)
