@@ -616,9 +616,10 @@ func (c *Cluster) OracleFromTrace(tracer *timing.Tracer, kind timing.EstimateKin
 	// fallback must be the cost model itself, not costTable: the probes
 	// are reference-partition ops, whose IDs do not index Graph.
 	est := tracer.Estimator(kind, c.oracle())
+	prefix := c.refPrefix()
 	return timing.OracleFunc(func(op *graph.Op) float64 {
 		probe := *op
-		probe.Name = "w0/" + op.Name
+		probe.Name = prefix + op.Name
 		return est.Time(&probe)
 	})
 }

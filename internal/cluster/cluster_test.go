@@ -397,6 +397,35 @@ func TestChainedThroughputCountsAllIterations(t *testing.T) {
 	}
 }
 
+// TestTraceOracleMeasuresChainedClusters pins that the traced oracle reads
+// the trace on every graph shape: a chained cluster names its ops
+// "i0/w0/...", and an oracle that probes "w0/..." finds no samples and
+// silently falls back to the analytic cost model.
+func TestTraceOracleMeasuresChainedClusters(t *testing.T) {
+	for _, iters := range []int{1, 2, 3} {
+		cfg := smallConfig(2, 1, model.Training)
+		cfg.Iterations = iters
+		c, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced, err := c.TraceOracle(5, 1, timing.EstimateMin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analytic := c.oracle()
+		differ := 0
+		for _, op := range c.ReferenceWorker().Ops() {
+			if traced.Time(op) != analytic.Time(op) {
+				differ++
+			}
+		}
+		if differ == 0 {
+			t.Errorf("Iterations=%d: traced oracle equals the analytic one on every reference op", iters)
+		}
+	}
+}
+
 func TestChainRecvsByOrder(t *testing.T) {
 	cfg := smallConfig(2, 1, model.Training)
 	c, err := Build(cfg)

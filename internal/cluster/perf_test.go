@@ -2,7 +2,8 @@ package cluster
 
 // Parity tests pinning the cluster layer's refactored hot path — shared
 // sim.Runner, ID-indexed efficiency — to the pre-refactor semantics, plus
-// the BenchmarkClusterRun microbenchmark behind `make perf`.
+// the allocation pin and the BenchmarkClusterRun/BenchmarkClusterChurn
+// microbenchmarks (pprof entry points; see docs/performance.md).
 
 import (
 	"fmt"
@@ -247,7 +248,7 @@ func TestRunAllocsPerExperiment(t *testing.T) {
 	}
 }
 
-// benchClusterModels is the BENCH_sim.json cluster-protocol model set.
+// benchClusterModels is the cluster-protocol benchmark model set.
 var benchClusterModels = []string{"AlexNet v2", "Inception v2"}
 
 // BenchmarkClusterRun measures the full warmup+measure protocol (the unit

@@ -14,8 +14,8 @@ import (
 // fleet: "local" posts to the key's home node (no fleet hop), "forwarded"
 // posts to the other node so every request crosses the forwarding path
 // (ownership lookup, proxied HTTP round trip, verbatim relay). Both serve
-// from the owner's cache, so the delta is pure forwarding overhead.
-// `make perf` records requests/sec per variant in BENCH_sim.json.
+// from the owner's cache, so the delta is pure forwarding overhead; it
+// reports requests/sec per variant.
 func BenchmarkFleetForward(b *testing.B) {
 	nodes := startTestFleet(b, 2)
 	spec := specOwnedBy(b, nodes, 1, nil)

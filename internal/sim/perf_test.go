@@ -2,8 +2,9 @@ package sim_test
 
 // Steady-state allocation assertions and the BenchmarkSimRun microbenchmark
 // comparing the reusable Runner against the frozen pre-refactor baseline
-// (internal/sim/simref). `make perf` parses the benchmark output into
-// BENCH_sim.json — see docs/performance.md for how to read it.
+// (internal/sim/simref). The allocation tests are the deterministic
+// per-run gate; the benchmark is a pprof entry point — see
+// docs/performance.md for how to read it.
 
 import (
 	"testing"
@@ -131,7 +132,7 @@ func TestRunnerSteadyStateAllocsBaseline(t *testing.T) {
 	}
 }
 
-// benchSimModels is the BENCH_sim.json model set: small/sequential,
+// benchSimModels is the BenchmarkSimRun model set: small/sequential,
 // mid-size inception, residual, and the largest-transfer VGG.
 var benchSimModels = []string{"AlexNet v2", "Inception v2", "ResNet-50 v1", "VGG-16"}
 

@@ -156,9 +156,6 @@ type (
 	// transient straggler and contention windows.
 	ServiceStragglerSpec  = service.StragglerSpec
 	ServiceContentionSpec = service.ContentionSpec
-	// ServiceErrorResponse is the uniform error envelope
-	// {"error":{"code","message"}} every endpoint emits on failure.
-	ServiceErrorResponse = service.ErrorResponse
 	// ServiceLoadOptions configures the deterministic load generator.
 	ServiceLoadOptions = service.LoadOptions
 	// ServiceLoadReport summarizes one load-generator run.
@@ -347,19 +344,3 @@ func RegisterCachePolicy(name string, f func() CacheEvictionPolicy) {
 func GenerateWorkloadTrace(spec TraceGeneratorSpec) (*WorkloadTrace, error) {
 	return trace.Generate(spec)
 }
-
-// GraphDigest returns a stable content digest of a graph: invariant to
-// construction order, sensitive to any semantic change (op attributes,
-// costs, edges, tags). The service layer keys its schedule cache on it.
-func GraphDigest(g *Graph) string { return core.GraphDigest(g) }
-
-// PlatformDigest returns a stable content digest of a platform cost model.
-func PlatformDigest(p Platform) string { return core.PlatformDigest(p) }
-
-// PlatformMapDigest returns a stable content digest of a heterogeneous
-// cost model (sorted override order; nil digests like an empty marker).
-func PlatformMapDigest(m *PlatformMap) string { return core.PlatformMapDigest(m) }
-
-// ScheduleDigest returns a stable content digest of a schedule (nil = the
-// unscheduled baseline).
-func ScheduleDigest(s *Schedule) string { return core.ScheduleDigest(s) }
